@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import DivergenceError
 from .harness import (
     Scenario,
     brute_force_min_pinning,
@@ -170,7 +171,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

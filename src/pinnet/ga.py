@@ -9,8 +9,8 @@ population is pulled toward certifiable sets while minimizing their size.
 
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
-offspring.  Everything is deterministic for a fixed seed, and gain solves are
-cached by gene bitmask since the eigensolve dominates the cost.
+offspring.  Everything is deterministic for a fixed seed, and evaluations are
+stored by gene bitmask, so a chromosome seen before is not solved again.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ class FitnessDetails:
     per_network: tuple[FeasibilityResult, ...]
     aggregated: np.ndarray
 
+    def score(self, penalty_coeff: float) -> float:
+        """Fitness: the pinned count, plus penalty_coeff * xi when infeasible."""
+        if self.feasible:
+            return float(self.pinned_count)
+        return float(self.pinned_count) + penalty_coeff * self.xi
+
 
 def fitness(
     ch: Chromosome,
@@ -129,17 +135,15 @@ def fitness(
     agg = ch.aggregated(sys)
     count = int(agg.sum())
     xi = infeasibility_multi(results)
-    feasible = xi == 0.0
-    fit = float(count) if feasible else float(count) + lam * xi
     details = FitnessDetails(
         pinned_count=count,
         xi=xi,
-        feasible=feasible,
+        feasible=xi == 0.0,
         gains=tuple(r.gain for r in results),
         per_network=tuple(results),
         aggregated=agg,
     )
-    return fit, details
+    return details.score(lam), details
 
 
 @dataclass(frozen=True)
@@ -319,12 +323,7 @@ class _EvalCache:
             _, det = fitness(ch, self.sys, self.cfg, penalty_coeff=penalty_coeff)
             self.store[key] = det
             self.lmi_evaluations += self.sys.num_networks
-        fit = (
-            float(det.pinned_count)
-            if det.feasible
-            else float(det.pinned_count) + penalty_coeff * det.xi
-        )
-        ind = Individual(chromosome=ch, fitness=fit, details=det)
+        ind = Individual(chromosome=ch, fitness=det.score(penalty_coeff), details=det)
         if det.feasible and (
             self.best_feasible is None
             or det.pinned_count < self.best_feasible.details.pinned_count

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -103,6 +103,11 @@ class Scenario:
         if self.profile is None:
             raise ValueError("multi scenarios need a membership profile")
         if isinstance(self.profile, str):
+            if self.profile not in PROFILES:
+                raise ValueError(
+                    f"unknown membership profile {self.profile!r}; "
+                    f"choose from {', '.join(sorted(PROFILES))}"
+                )
             return PROFILES[self.profile]
         return self.profile
 
@@ -240,6 +245,14 @@ def run_scenario(
         conv = convergence_time(traj, sc.sim.convergence_tol)
         terminal = traj.terminal_max_error
 
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        report.write_csv(out / "ga_report.csv")
+        if traj is not None:
+            export_trajectory_csv(traj, out / "trajectory.csv")
+            export_errors_csv(traj, out / "errors.csv")
+
     log_term = float(np.log10(terminal)) if terminal > 0.0 else float("nan")
     outcome = TrialOutcome(
         trial_index=trial_index,
@@ -254,12 +267,6 @@ def run_scenario(
     )
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write_csv(out / "ga_report.csv")
-        if traj is not None:
-            export_trajectory_csv(traj, out / "trajectory.csv")
-            export_errors_csv(traj, out / "errors.csv")
         summary = {"outcome": outcome.to_dict(), "ga": report.to_dict()}
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -576,39 +583,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
     d = {
         "kind": sc.kind,
         "threshold": sc.threshold,
-        "networks": [
-            {
-                "coupling_strength": s.coupling_strength,
-                "gamma": s.gamma,
-                "target": s.target,
-                "init_mean": s.init_mean,
-                "init_std": s.init_std,
-            }
-            for s in sc.networks
-        ],
-        "ga": {
-            "population_size": sc.ga.population_size,
-            "generations": sc.ga.generations,
-            "crossover_prob": sc.ga.crossover_prob,
-            "mutation_prob": sc.ga.mutation_prob,
-            "init_prob": sc.ga.init_prob,
-            "penalty_coeff": sc.ga.penalty_coeff,
-            "tournament_size": sc.ga.tournament_size,
-            "crossover_op": sc.ga.crossover_op,
-            "adaptive_penalty": sc.ga.adaptive_penalty,
-            "stability": {
-                "delta": sc.ga.stability.delta,
-                "q": sc.ga.stability.q,
-                "c_max": sc.ga.stability.c_max,
-                "bisection_tol": sc.ga.stability.bisection_tol,
-            },
-        },
-        "sim": {
-            "dt": sc.sim.dt,
-            "horizon": sc.sim.horizon,
-            "integrator": sc.sim.integrator,
-            "convergence_tol": sc.sim.convergence_tol,
-        },
+        "networks": [asdict(s) for s in sc.networks],
+        "ga": asdict(sc.ga),
+        "sim": asdict(sc.sim),
         "trials": sc.trials,
         "rng_seed": sc.rng_seed,
     }
@@ -626,12 +603,27 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return d
 
 
+# Keys older scenario files may carry that no longer configure anything.
+_RETIRED_STABILITY_KEYS = ("bisection_tol", "max_bisection_iters")
+
+
+def _from_section(cls, d: dict, section: str, retired: Sequence[str] = ()):
+    """Build a config dataclass from its JSON section, rejecting unknown keys."""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names - set(retired))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) in scenario: {', '.join(unknown)}")
+    return cls(**{k: v for k, v in d.items() if k in names})
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     ga_d = dict(d.get("ga", {}))
-    stab_d = dict(ga_d.pop("stability", {}))
-    ga = GaConfig(stability=StabilityParams(**stab_d), **ga_d)
-    sim = SimulationConfig(**d.get("sim", {}))
-    networks = tuple(NetworkSpec(**s) for s in d["networks"])
+    stability = _from_section(
+        StabilityParams, ga_d.pop("stability", {}), "stability", _RETIRED_STABILITY_KEYS
+    )
+    ga = _from_section(GaConfig, {**ga_d, "stability": stability}, "ga")
+    sim = _from_section(SimulationConfig, d.get("sim", {}), "sim")
+    networks = tuple(_from_section(NetworkSpec, s, "networks") for s in d["networks"])
     profile = d.get("profile")
     if isinstance(profile, dict):
         profile = MembershipProfile(

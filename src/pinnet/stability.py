@@ -7,8 +7,11 @@ test: the network is certified stable when
     q * lambda_min(2*C*gamma*L_s + 2*c*gamma*D_hat) >= delta,
 
 where L_s is the symmetric Laplacian part, D_hat the 0/1 pinning diagonal and
-c the control gain.  lambda_min is nondecreasing in c (adding 2*c*gamma*D_hat
-is a PSD perturbation), so the minimal certifying gain is found by bisection.
+c the control gain.  The minimal certifying gain has a closed form: with
+A = 2*C*gamma*L_s - (delta/q)*I split into pinned and unpinned nodes, it is
+one Cholesky factorisation of the unpinned block and the largest eigenvalue of
+a Schur complement (Boyd, El Ghaoui, Feron & Balakrishnan, "Linear Matrix
+Inequalities in System and Control Theory", SIAM 1994, section 2.1).
 When no gain up to c_max certifies the set, the infeasibility measure xi is
 the Frobenius norm of the violating part of the shifted matrix, i.e.
 sqrt(sum_i max(0, delta - q*lambda_i)^2) at c = c_max; xi is zero exactly on
@@ -34,8 +37,6 @@ class StabilityParams:
     delta: float = 1.0
     q: float = 1.0
     c_max: float = 50.0
-    bisection_tol: float = 1e-6
-    max_bisection_iters: int = 60
 
     def __post_init__(self):
         if self.delta <= 0.0:
@@ -44,8 +45,6 @@ class StabilityParams:
             raise ValueError("q must be > 0")
         if self.c_max <= 0.0:
             raise ValueError("c_max must be > 0")
-        if self.bisection_tol <= 0.0:
-            raise ValueError("bisection_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,21 @@ def violation_norm(m: np.ndarray, delta: float, q: float = 1.0) -> float:
     Zero exactly when q*M >= delta*I; otherwise sqrt of the summed squared
     eigenvalue shortfalls.
     """
-    lam = np.linalg.eigvalsh(_check_symmetric(m))
+    return _shortfall_norm(np.linalg.eigvalsh(_check_symmetric(m)), delta, q)
+
+
+def _shortfall_norm(lam: np.ndarray, delta: float, q: float) -> float:
     short = np.clip(delta - q * lam, 0.0, None)
     return float(np.sqrt(np.sum(short * short)))
+
+
+def _result_at(lam: np.ndarray, gain: float, params: StabilityParams) -> FeasibilityResult:
+    """Verdict, margin and xi from the test matrix's spectrum at ``gain``."""
+    margin = params.q * float(lam[0]) - params.delta
+    if margin >= 0.0:
+        return FeasibilityResult(feasible=True, gain=float(gain), margin=margin, xi=0.0)
+    xi = _shortfall_norm(lam, params.delta, params.q)
+    return FeasibilityResult(feasible=False, gain=None, margin=margin, xi=xi)
 
 
 def check_gain(
@@ -133,13 +144,7 @@ def check_gain(
 ) -> FeasibilityResult:
     """Test the stability condition at one fixed gain (no search)."""
     m = stability_matrix(l_sym, d_hat, coupling, gain, gamma)
-    lam = np.linalg.eigvalsh(m)
-    margin = params.q * float(lam[0]) - params.delta
-    if margin >= 0.0:
-        return FeasibilityResult(feasible=True, gain=float(gain), margin=margin, xi=0.0)
-    short = np.clip(params.delta - params.q * lam, 0.0, None)
-    xi = float(np.sqrt(np.sum(short * short)))
-    return FeasibilityResult(feasible=False, gain=None, margin=margin, xi=xi)
+    return _result_at(np.linalg.eigvalsh(m), gain, params)
 
 
 def solve_min_gain(
@@ -149,12 +154,16 @@ def solve_min_gain(
     gamma: float,
     params: StabilityParams,
 ) -> FeasibilityResult:
-    """Find the minimal gain in [0, c_max] certifying stability, by bisection.
+    """Find the minimal gain in [0, c_max] certifying stability, in closed form.
 
-    lambda_min of the test matrix is nondecreasing in the gain, so feasibility
-    is decided at c_max: if even that fails, the set is infeasible and xi
-    measures its irreducible violation at c_max.  Otherwise bisection shrinks
-    to the smallest certifying gain within the relative tolerance.
+    With A = 2*C*gamma*L_s - (delta/q)*I split into pinned (P) and unpinned
+    (U) nodes, the certificate A + 2*c*gamma*D_hat >= 0 can hold only if
+    A_UU > 0, and then holds exactly when
+    2*c*gamma >= lambda_max(A_PU A_UU^-1 A_UP - A_PP) (Schur complement).
+    The gain so found is rounded up until the eigensolve at it certifies, so a
+    feasible result always has margin >= 0.  When A_UU has no Cholesky factor,
+    or the gain would pass c_max, the spectrum at c_max decides feasibility
+    and gives xi.
     """
     l_sym = _check_symmetric(l_sym)
     n = l_sym.shape[0]
@@ -164,49 +173,34 @@ def solve_min_gain(
 
     base = 2.0 * coupling * gamma * l_sym
     lift = 2.0 * gamma * pins  # diagonal increment per unit gain
+    shifted = base.copy()
+    shifted[np.diag_indices(n)] -= params.delta / params.q
+    p, u = pins == 1.0, pins == 0.0
 
-    def eigmin(c: float) -> float:
+    gain = params.c_max
+    try:
+        chol = np.linalg.cholesky(shifted[np.ix_(u, u)])
+    except np.linalg.LinAlgError:
+        pass  # A_UU is not positive definite: no gain certifies
+    else:
+        w = np.linalg.solve(chol, shifted[np.ix_(u, p)])
+        schur = w.T @ w - shifted[np.ix_(p, p)]
+        top = float(np.linalg.eigvalsh(schur)[-1]) if schur.size else 0.0
+        gain = min(params.c_max, max(0.0, top) / (2.0 * gamma))
+
+    bump = 0.0
+    while True:
         m = base.copy()
-        m[np.diag_indices(n)] += c * lift
-        return float(np.linalg.eigvalsh(m)[0])
-
-    top = eigmin(params.c_max)
-    if params.q * top < params.delta:
-        m_top = base.copy()
-        m_top[np.diag_indices(n)] += params.c_max * lift
-        lam = np.linalg.eigvalsh(m_top)
-        short = np.clip(params.delta - params.q * lam, 0.0, None)
-        xi = float(np.sqrt(np.sum(short * short)))
-        return FeasibilityResult(
-            feasible=False,
-            gain=None,
-            margin=params.q * top - params.delta,
-            xi=xi,
-        )
-
-    if params.q * eigmin(0.0) >= params.delta:
-        return FeasibilityResult(
-            feasible=True,
-            gain=0.0,
-            margin=params.q * eigmin(0.0) - params.delta,
-            xi=0.0,
-        )
-
-    lo, hi = 0.0, params.c_max
-    for _ in range(params.max_bisection_iters):
-        mid = 0.5 * (lo + hi)
-        if params.q * eigmin(mid) >= params.delta:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= params.bisection_tol * max(1.0, hi):
-            break
-    return FeasibilityResult(
-        feasible=True,
-        gain=hi,
-        margin=params.q * eigmin(hi) - params.delta,
-        xi=0.0,
-    )
+        m[np.diag_indices(n)] += gain * lift
+        res = _result_at(np.linalg.eigvalsh(m), gain, params)
+        if res.feasible or gain >= params.c_max:
+            return res
+        # Roundoff left the closed-form gain a hair short.  q*lambda_min grows
+        # by at most 2*gamma*q per unit gain, so the first step covers the
+        # shortfall at that rate; each further step doubles.
+        shortfall = -res.margin / (2.0 * gamma * params.q)
+        bump = max(2.0 * bump, shortfall, float(np.spacing(gain)))
+        gain = min(params.c_max, gain + bump)
 
 
 def infeasibility_multi(results: Sequence[FeasibilityResult]) -> float:

@@ -5,6 +5,8 @@ violation, so the same functions back both the granular property tests and the
 one-shot acceptance sweep.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pinnet.dynamics import SimulationConfig, simulate_single
@@ -17,7 +19,62 @@ from pinnet.network import (
     make_network,
     single_network_system,
 )
-from pinnet.stability import StabilityParams, solve_min_gain, stability_matrix
+from pinnet.stability import (
+    FeasibilityResult,
+    StabilityParams,
+    solve_min_gain,
+    stability_matrix,
+)
+
+
+def bisect_min_gain(
+    l_sym: np.ndarray,
+    pins: np.ndarray,
+    coupling: float,
+    gamma: float,
+    params: StabilityParams,
+) -> FeasibilityResult:
+    """Reference minimal gain by bisection, the oracle for ``solve_min_gain``.
+
+    lambda_min of the test matrix is nondecreasing in the gain, so feasibility
+    is decided at c_max: if even that fails, the set is infeasible and xi
+    measures its violation at c_max.  Otherwise bisection shrinks to the
+    smallest certifying gain within a relative tolerance of 1e-6 (at most 60
+    halvings).
+    """
+    n = l_sym.shape[0]
+    base = 2.0 * coupling * gamma * l_sym
+    lift = 2.0 * gamma * pins
+
+    def spectrum(c: float) -> np.ndarray:
+        m = base.copy()
+        m[np.diag_indices(n)] += c * lift
+        return np.linalg.eigvalsh(m)
+
+    def margin(c: float) -> float:
+        return params.q * float(spectrum(c)[0]) - params.delta
+
+    top = spectrum(params.c_max)
+    if params.q * top[0] < params.delta:
+        short = np.clip(params.delta - params.q * top, 0.0, None)
+        return FeasibilityResult(
+            feasible=False,
+            gain=None,
+            margin=params.q * float(top[0]) - params.delta,
+            xi=float(np.sqrt(np.sum(short * short))),
+        )
+    if margin(0.0) >= 0.0:
+        return FeasibilityResult(feasible=True, gain=0.0, margin=margin(0.0), xi=0.0)
+    lo, hi = 0.0, params.c_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if margin(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-6 * max(1.0, hi):
+            break
+    return FeasibilityResult(feasible=True, gain=hi, margin=margin(hi), xi=0.0)
 
 
 def _random_graph(rng, n_lo=2, n_hi=8):
@@ -100,6 +157,74 @@ def check_xi_zero_iff_feasible(n_cases: int) -> None:
             assert res.gain is None and res.xi > 0.0
             infeasible_seen += 1
     assert feasible_seen > 0 and infeasible_seen > 0
+
+
+def check_exact_gain_matches_bisection(n_cases: int) -> None:
+    """The closed-form gain agrees with the bisection oracle, edges included.
+
+    Graphs range over n = 1..8, and the pin sets cycle through none, every
+    node, a random half, and a random half with delta/q set a hair off the
+    smallest eigenvalue of the unpinned block (a near-singular A_UU).  Each
+    feasible case is solved again with c_max set exactly to its gain (still
+    feasible, same gain) and just below it (infeasible for both solvers), and
+    with one pin more, which may not raise the gain beyond roundoff.
+    """
+    rng = np.random.default_rng(1011)
+    seen = {True: 0, False: 0}
+    for i in range(n_cases):
+        g = _random_graph(rng, 1, 8)
+        n = g.shape[0]
+        l_sym = laplacian(g).symmetric_part
+        coupling = float(rng.uniform(0.3, 3.0))
+        gamma = float(rng.uniform(0.3, 3.0))
+        q = float(rng.uniform(0.5, 2.0))
+        delta = float(rng.uniform(0.2, 4.0))
+        mode = i % 4
+        if mode == 0:
+            pins = np.zeros(n)
+        elif mode == 1:
+            pins = np.ones(n)
+        else:
+            pins = (rng.random(n) < 0.5).astype(float)
+        unpinned = np.nonzero(pins == 0.0)[0]
+        if mode == 3 and len(unpinned):
+            block = 2.0 * coupling * gamma * l_sym[np.ix_(unpinned, unpinned)]
+            lam_uu = float(np.linalg.eigvalsh(block)[0])
+            if lam_uu > 1e-3:
+                delta = q * lam_uu * (1.0 + float(rng.choice([-1e-9, 1e-9])))
+        params = StabilityParams(delta=delta, q=q, c_max=float(rng.uniform(0.5, 20.0)))
+
+        def both(pins, params):
+            args = (l_sym, pins, coupling, gamma, params)
+            return solve_min_gain(*args), bisect_min_gain(*args)
+
+        exact, oracle = both(pins, params)
+        case = (i, n, pins.tolist(), params)
+        assert exact.feasible == oracle.feasible, case
+        seen[exact.feasible] += 1
+        if not exact.feasible:
+            assert exact.gain is None and exact.xi > 0.0, case
+            assert (exact.margin, exact.xi) == (oracle.margin, oracle.xi), case
+            continue
+        assert exact.xi == 0.0 and 0.0 <= exact.gain <= params.c_max, case
+        assert exact.margin >= 0.0, case
+        assert abs(exact.gain - oracle.gain) <= 1e-6 * max(1.0, oracle.gain), case
+
+        if exact.gain > 1e-6:
+            at, at_oracle = both(pins, replace(params, c_max=exact.gain))
+            assert at.feasible and at_oracle.feasible and at.gain == exact.gain, case
+            below = exact.gain - 1e-6 * max(1.0, exact.gain)
+            if below > 0.0:
+                under, under_oracle = both(pins, replace(params, c_max=below))
+                assert not under.feasible and not under_oracle.feasible, case
+
+        if len(unpinned):
+            more = pins.copy()
+            more[rng.choice(unpinned)] = 1.0
+            extra = solve_min_gain(l_sym, more, coupling, gamma, params)
+            assert extra.feasible, case
+            assert extra.gain <= exact.gain + 1e-9 * max(1.0, exact.gain), case
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def _certified_single_case(rng, n_lo=2, n_hi=5):
@@ -261,6 +386,7 @@ ALL_CHECKS = (
     ("eigenvalue monotone in gain and pins", check_eigmin_monotone_in_gain_and_pins),
     ("all-pinned bound certifies", check_all_pinned_bound_certifies),
     ("xi zero iff feasible", check_xi_zero_iff_feasible),
+    ("exact gain matches bisection", check_exact_gain_matches_bisection),
     ("Lyapunov descent on certified runs", check_lyapunov_descent_on_certified_runs),
     ("error superposition scaling", check_error_trajectory_superposition),
     ("rk4 step-halving ratio ~16", check_rk4_step_halving_fourth_order),

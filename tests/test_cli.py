@@ -117,3 +117,39 @@ def test_profile_flag_loads_builtin(capsys):
     # oracle on a built-in 50-node profile exceeds the enumeration cap: error
     assert main(["oracle", "--profile", "single-50"]) == 1
     assert "capped" in capsys.readouterr().err
+
+
+def test_unknown_profile_is_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    assert main(["gen-scenario", "--profile", "multi-50", "--out", str(path)]) == 0
+    d = json.loads(path.read_text())
+    d["profile"] = "no-such-profile"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no-such-profile" in err and "small-50" in err
+
+
+@pytest.mark.parametrize("section", ["ga", "sim", "stability"])
+def test_unknown_scenario_key_is_error(tmp_path, scenario_file, capsys, section):
+    d = json.loads(scenario_file.read_text())
+    (d["ga"]["stability"] if section == "stability" else d[section])["no_such_knob"] = 1
+    scenario_file.write_text(json.dumps(d))
+    assert main(["simulate", "--scenario", str(scenario_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"unknown {section} key" in err and "no_such_knob" in err
+
+
+def test_divergence_is_error(tmp_path, capsys):
+    sc = tiny_single()
+    # explicit Euler at a step far past its stability limit blows up
+    sc = replace(sc, sim=replace(sc.sim, integrator="euler", dt=2.0, horizon=200.0))
+    path = tmp_path / "diverging.json"
+    save_scenario(sc, path)
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "diverged" in err

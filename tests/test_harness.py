@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pinnet.dynamics import SimulationConfig
+from pinnet.dynamics import SimulationConfig, export_errors_csv
 from pinnet.ga import GaConfig
 from pinnet.harness import (
     NetworkSpec,
@@ -118,6 +119,17 @@ class TestRunScenario:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["outcome"]["feasible"] is True
         assert summary["ga"]["lmi_evaluations"] > 0
+
+    def test_wall_clock_covers_artifact_export(self, tmp_path, monkeypatch):
+        def slow_export(traj, path):
+            time.sleep(0.5)
+            export_errors_csv(traj, path)
+
+        monkeypatch.setattr("pinnet.harness.export_errors_csv", slow_export)
+        out = run_scenario(tiny_single(), out_dir=tmp_path)
+        assert out.wall_clock_s >= 0.5
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["outcome"]["wall_clock_s"] == out.wall_clock_s
 
     def test_infeasible_is_outcome_not_error(self, tmp_path):
         # no edges and a gain cap below delta/2: nothing can certify
@@ -306,6 +318,17 @@ class TestScenarioIO:
             path = tmp_path / "sc.json"
             save_scenario(sc, path)
             assert scenario_to_dict(load_scenario(path)) == d
+
+    def test_fixed_gain_roundtrip(self):
+        sc = tiny_single(fixed_gain=5.0)
+        again = scenario_from_dict(scenario_to_dict(sc))
+        assert again.ga.fixed_gain == 5.0
+        assert again == sc
+
+    def test_retired_stability_keys_are_ignored(self):
+        d = scenario_to_dict(tiny_single())
+        d["ga"]["stability"].update(bisection_tol=1e-6, max_bisection_iters=60)
+        assert scenario_from_dict(d) == tiny_single()
 
     def test_builtin_scenarios_shapes(self):
         single = builtin_scenario("single-50")

@@ -16,6 +16,7 @@ from pinnet.stability import (
     stability_matrix,
     violation_norm,
 )
+from property_checks import bisect_min_gain
 from test_network import char_poly_roots
 
 
@@ -146,6 +147,31 @@ class TestSolveMinGain:
                 assert res.margin >= 0.0
             seen[res.feasible] += 1
         assert seen[True] > 0 and seen[False] > 0
+
+
+    def test_gain_exactly_at_c_max(self):
+        # one pinned node with no coupling needs exactly delta / 2
+        args = (np.zeros((1, 1)), np.ones(1), 1.0, 1.0)
+        at = solve_min_gain(*args, StabilityParams(delta=1.0, c_max=0.5))
+        assert at.feasible and at.gain == 0.5 and at.margin == 0.0
+        under = solve_min_gain(*args, StabilityParams(delta=1.0, c_max=0.5 - 1e-9))
+        assert not under.feasible and under.gain is None and under.xi > 0.0
+
+    def test_near_singular_unpinned_block(self):
+        # unpinned block eigenvalues 1 and 2, so delta = 1 -/+ 1e-10 leaves
+        # A_UU = L_UU - delta*I just positive definite / just indefinite
+        l_sym = np.array([[1.5, 0.5, 0.0], [0.5, 1.5, 0.0], [0.0, 0.0, 0.0]])
+        pins = np.array([0.0, 0.0, 1.0])
+        for delta, feasible in ((1.0 - 1e-10, True), (1.0 + 1e-10, False)):
+            params = StabilityParams(delta=delta)
+            res = solve_min_gain(l_sym, pins, 1.0, 0.5, params)
+            oracle = bisect_min_gain(l_sym, pins, 1.0, 0.5, params)
+            assert res.feasible == oracle.feasible == feasible
+            if feasible:
+                assert abs(res.gain - delta) <= 1e-12 and res.margin >= 0.0
+                assert abs(res.gain - oracle.gain) <= 1e-6
+            else:
+                assert res.xi == oracle.xi > 0.0
 
 
 class TestCheckGain:
