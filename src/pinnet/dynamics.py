@@ -12,6 +12,8 @@ overlap nodes: the composite target is an exact equilibrium, the error
 trajectory scales linearly with the initial error, and a feasible stability
 certificate at the used gains yields monotone Lyapunov descent.  For a single
 network (or equal targets) this coincides with coupling the raw states.
+The drift A is constant, so a step of size h is one product with the scheme's
+stability polynomial sum_{j<=p} (hA)^j / j! (p = 1 for Euler, p = 4 for RK4).
 
 Trajectories record every step: states x(t) = x* + e(t), per-node error norms
 and the Lyapunov value sum_i ||e_i||^2 (unit weight).
@@ -29,6 +31,9 @@ from .network import DirectedNetwork, MultiNetworkSystem, single_network_system
 from .stability import PinningPlan
 
 DIVERGENCE_LIMIT = 1e12
+# Steps integrated between divergence checks, and rows per CSV format call.
+# Blocks of 128-512 rows kept peak RSS at the old writer's; 64 raised it ~6 MB.
+_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -110,35 +115,30 @@ def _integrate(
     a: np.ndarray, e0: np.ndarray, targets: np.ndarray, sim: SimulationConfig
 ) -> Trajectory:
     n_steps = sim.n_steps
-    n, m = e0.shape
-    path = np.empty((n_steps + 1, n, m))
+    path = np.empty((n_steps + 1,) + e0.shape)
     path[0] = e0
-    e = e0.copy()
-    dt = sim.dt
-    if sim.integrator == "rk4":
-        for k in range(n_steps):
-            k1 = a @ e
-            k2 = a @ (e + 0.5 * dt * k1)
-            k3 = a @ (e + 0.5 * dt * k2)
-            k4 = a @ (e + dt * k3)
-            e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(e)) or np.max(np.abs(e)) > DIVERGENCE_LIMIT:
-                raise DivergenceError(step=k + 1, time=(k + 1) * dt)
-            path[k + 1] = e
-    else:
-        for k in range(n_steps):
-            e = e + dt * (a @ e)
-            if not np.all(np.isfinite(e)) or np.max(np.abs(e)) > DIVERGENCE_LIMIT:
-                raise DivergenceError(step=k + 1, time=(k + 1) * dt)
-            path[k + 1] = e
-    times = np.arange(n_steps + 1) * dt
+    ha, eye = sim.dt * a, np.eye(len(a))  # the stability polynomial, Horner form
+    step = eye
+    for k in (4.0, 3.0, 2.0, 1.0) if sim.integrator == "rk4" else (1.0,):
+        step = eye + (ha @ step) / k
+    # A diverging block may overflow before it is checked; the check catches it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, _BLOCK):
+            stop = min(start + _BLOCK, n_steps)
+            for k in range(start, stop):
+                np.matmul(step, path[k], out=path[k + 1])
+            block = path[start + 1 : stop + 1].reshape(stop - start, -1)
+            bad = ~(np.abs(block) <= DIVERGENCE_LIMIT).all(axis=1)  # nan is bad too
+            if bad.any():
+                first = start + 1 + int(np.argmax(bad))
+                raise DivergenceError(step=first, time=first * sim.dt)
     errors = np.sqrt(np.sum(path * path, axis=2))
-    lyap = np.sum(errors * errors, axis=1)
+    path += targets[None, :, :]  # the states, in place of a second path-sized array
     return Trajectory(
-        times=times,
-        states=path + targets[None, :, :],
+        times=np.arange(n_steps + 1) * sim.dt,
+        states=path,
         errors=errors,
-        lyapunov=lyap,
+        lyapunov=np.sum(errors * errors, axis=1),
     )
 
 
@@ -210,11 +210,18 @@ def lyapunov_series(traj: Trajectory, q: float) -> tuple[np.ndarray, np.ndarray]
     return values, derivative
 
 
-def _write_series_csv(path: str | Path, times: np.ndarray, table: np.ndarray, labels: list[str]) -> None:
+def _write_series_csv(
+    path: str | Path, times: np.ndarray, table: np.ndarray, labels: list[str], stride: int
+) -> None:
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    times, table = times[::stride], table[::stride]
+    line = ",".join(["%.17g"] * (len(labels) + 1)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(labels) + "\n")
-        for t, row in zip(times, table):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, len(times), _BLOCK):
+            block = np.column_stack((times[start : start + _BLOCK], table[start : start + _BLOCK]))
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_trajectory_csv(traj: Trajectory, path: str | Path, stride: int = 1) -> None:
@@ -224,22 +231,15 @@ def export_trajectory_csv(traj: Trajectory, path: str | Path, stride: int = 1) -
     component gets its own node_{i}_{j} column.  ``stride`` keeps every n-th
     sample (plus the first); the in-memory trajectory always holds every step.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    s = traj.states[::stride]
-    n, m = s.shape[1], s.shape[2]
+    s, n, m = traj.states.shape
     if m == 1:
         labels = [f"node_{i}" for i in range(n)]
-        table = s[:, :, 0]
     else:
         labels = [f"node_{i}_{j}" for i in range(n) for j in range(m)]
-        table = s.reshape(s.shape[0], n * m)
-    _write_series_csv(path, traj.times[::stride], table, labels)
+    _write_series_csv(path, traj.times, traj.states.reshape(s, n * m), labels, stride)
 
 
 def export_errors_csv(traj: Trajectory, path: str | Path, stride: int = 1) -> None:
     """Write per-node error norms with the same shape as the trajectory CSV."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     labels = [f"node_{i}" for i in range(traj.n_nodes)]
-    _write_series_csv(path, traj.times[::stride], traj.errors[::stride], labels)
+    _write_series_csv(path, traj.times, traj.errors, labels, stride)

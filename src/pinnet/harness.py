@@ -21,7 +21,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -607,38 +607,88 @@ def scenario_to_dict(sc: Scenario) -> dict:
 _RETIRED_STABILITY_KEYS = ("bisection_tol", "max_bisection_iters")
 
 
-def _from_section(cls, d: dict, section: str, retired: Sequence[str] = ()):
-    """Build a config dataclass from its JSON section, rejecting unknown keys."""
+# The JSON values a field of each type accepts, and how an error names them.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "an array"),
+    dict: ((dict,), "an object"),
+}
+
+
+def _typed(value, kind: type, path: str):
+    """``value`` if it is a JSON value of ``kind``; else a ValueError naming its path."""
+    accepted, name = _JSON_TYPES[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"scenario key {path} must be {name}, got {value!r}")
+    return value
+
+
+def _required(d: dict, key: str, kind: type, path: str = ""):
+    if key not in d:
+        raise ValueError(f"scenario is missing required key {path}{key}")
+    return _typed(d[key], kind, path + key)
+
+
+def _from_section(cls, d, path: str, retired: Sequence[str] = ()):
+    """Build a config dataclass from its JSON section at ``path``.
+
+    Unknown keys are rejected, naming the section; a value whose JSON type does
+    not fit a bool, int, float or str field (or its Optional) is rejected,
+    naming its path.
+    """
+    _typed(d, dict, path)
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(d) - names - set(retired))
     if unknown:
+        section = path.rsplit(".", 1)[-1].split("[")[0]
         raise ValueError(f"unknown {section} key(s) in scenario: {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    for key in sorted(names & set(d)):
+        kinds = get_args(hints[key]) or (hints[key],)  # Optional[X] gives (X, NoneType)
+        if kinds[0] in _JSON_TYPES and not (d[key] is None and type(None) in kinds):
+            _typed(d[key], kinds[0], f"{path}.{key}")
     return cls(**{k: v for k, v in d.items() if k in names})
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    ga_d = dict(d.get("ga", {}))
+    _typed(d, dict, "(top level)")
+    ga_d = dict(_typed(d.get("ga", {}), dict, "ga"))
     stability = _from_section(
-        StabilityParams, ga_d.pop("stability", {}), "stability", _RETIRED_STABILITY_KEYS
+        StabilityParams, ga_d.pop("stability", {}), "ga.stability", _RETIRED_STABILITY_KEYS
     )
     ga = _from_section(GaConfig, {**ga_d, "stability": stability}, "ga")
     sim = _from_section(SimulationConfig, d.get("sim", {}), "sim")
-    networks = tuple(_from_section(NetworkSpec, s, "networks") for s in d["networks"])
+    networks = tuple(
+        _from_section(NetworkSpec, s, f"networks[{i}]")
+        for i, s in enumerate(_required(d, "networks", list))
+    )
     profile = d.get("profile")
     if isinstance(profile, dict):
+        sizes = _required(profile, "network_sizes", list, "profile.")
+        counts = _required(profile, "overlap_counts", dict, "profile.")
         profile = MembershipProfile(
-            network_sizes=tuple(profile["network_sizes"]),
-            overlap_counts={int(m): c for m, c in profile["overlap_counts"].items()},
+            network_sizes=tuple(
+                _typed(v, int, f"profile.network_sizes[{i}]") for i, v in enumerate(sizes)
+            ),
+            overlap_counts={
+                int(m): _typed(c, int, f"profile.overlap_counts.{m}") for m, c in counts.items()
+            },
         )
+    elif profile is not None and not isinstance(profile, str):
+        raise ValueError(f"scenario key profile must be a string or an object, got {profile!r}")
+    n = d.get("n")
     return Scenario(
-        kind=d["kind"],
-        threshold=d["threshold"],
+        kind=_required(d, "kind", str),
+        threshold=_required(d, "threshold", float),
         networks=networks,
         ga=ga,
         sim=sim,
-        trials=d.get("trials", 1),
-        rng_seed=d.get("rng_seed", 0),
-        n=d.get("n"),
+        trials=_typed(d.get("trials", 1), int, "trials"),
+        rng_seed=_typed(d.get("rng_seed", 0), int, "rng_seed"),
+        n=None if n is None else _typed(n, int, "n"),
         profile=profile,
     )
 

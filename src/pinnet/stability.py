@@ -161,7 +161,9 @@ def solve_min_gain(
     A_UU > 0, and then holds exactly when
     2*c*gamma >= lambda_max(A_PU A_UU^-1 A_UP - A_PP) (Schur complement).
     The gain so found is rounded up until the eigensolve at it certifies, so a
-    feasible result always has margin >= 0.  When A_UU has no Cholesky factor,
+    feasible result always has margin >= 0; the round-up steps are tested by
+    Cholesky factorisations, and only a gain that passes one is eigensolved.
+    When A_UU has no Cholesky factor,
     or the gain would pass c_max, the spectrum at c_max decides feasibility
     and gives xi.
     """
@@ -192,15 +194,29 @@ def solve_min_gain(
     while True:
         m = base.copy()
         m[np.diag_indices(n)] += gain * lift
-        res = _result_at(np.linalg.eigvalsh(m), gain, params)
-        if res.feasible or gain >= params.c_max:
-            return res
-        # Roundoff left the closed-form gain a hair short.  q*lambda_min grows
-        # by at most 2*gamma*q per unit gain, so the first step covers the
-        # shortfall at that rate; each further step doubles.
-        shortfall = -res.margin / (2.0 * gamma * params.q)
-        bump = max(2.0 * bump, shortfall, float(np.spacing(gain)))
+        # eigvalsh is accurate to about eps*||M||, so a gain at which
+        # M - (delta/q + tol)*I has a Cholesky factor should certify.  Only such
+        # a gain is eigensolved, and the eigensolve has the last word.
+        tol = 2.0 * np.finfo(np.float64).eps * float(np.linalg.norm(m))
+        if gain >= params.c_max or _positive_definite(m, params.delta / params.q + tol):
+            res = _result_at(np.linalg.eigvalsh(m), gain, params)
+            if res.feasible or gain >= params.c_max:
+                return res
+        # A gain step dc lifts lambda_min by at most 2*gamma*dc, so the first
+        # step lifts it by at most 8*tol; each further step doubles.
+        bump = max(2.0 * bump, 4.0 * tol / gamma, float(np.spacing(gain)))
         gain = min(params.c_max, gain + bump)
+
+
+def _positive_definite(m: np.ndarray, shift: float) -> bool:
+    """Whether m - shift*I has a Cholesky factor."""
+    shifted = m.copy()
+    shifted[np.diag_indices(len(m))] -= shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def infeasibility_multi(results: Sequence[FeasibilityResult]) -> float:

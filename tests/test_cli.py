@@ -153,3 +153,24 @@ def test_divergence_is_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "diverged" in err
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d.pop("threshold"), "threshold"),
+        (lambda d: d["ga"].update(population_size="100"), "ga.population_size"),
+    ],
+    ids=["missing-threshold", "string-population-size"],
+)
+def test_malformed_scenario_is_error(tmp_path, capsys, edit, path):
+    file = tmp_path / "single-50.json"
+    assert main(["gen-scenario", "--profile", "single-50", "--out", str(file)]) == 0
+    d = json.loads(file.read_text())
+    edit(d)
+    file.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert path in err

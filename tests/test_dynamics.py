@@ -1,9 +1,12 @@
 """Integration of the coupled dynamics, error series and Lyapunov checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pinnet.dynamics import (
+    _BLOCK,
     DivergenceError,
     SimulationConfig,
     Trajectory,
@@ -22,6 +25,8 @@ from pinnet.network import (
     single_network_system,
 )
 from pinnet.stability import PinningPlan, StabilityParams, solve_min_gain
+
+from property_checks import stagewise_integrate
 
 
 def scalar_net(target: float = 5.0) -> DirectedNetwork:
@@ -53,14 +58,43 @@ class TestSimulateSingle:
         assert len(traj.times) == 26
         assert np.all(np.diff(traj.times) > 0)
 
-    def test_divergence_guard_reports_first_bad_step(self):
-        # gain far beyond the explicit-step stability limit blows up fast
+    @staticmethod
+    def divergence_matching_oracle(integrator: str, gain: float) -> DivergenceError:
+        """Diverge a scalar pinned node at ``gain``; the error must match the oracle's.
+
+        The reported step and time must equal those of the stagewise integrator,
+        and no numpy warning may escape.
+        """
         net = scalar_net()
-        sim = SimulationConfig(dt=1e-3, horizon=1.0)
-        with pytest.raises(DivergenceError) as err:
-            simulate_single(net, np.ones(1), 5000.0, np.array([15.0]), sim)
-        assert err.value.step >= 1
-        assert err.value.time == pytest.approx(err.value.step * sim.dt)
+        sim = SimulationConfig(dt=1e-3, horizon=1.0, integrator=integrator)
+        a = -net.coupling_strength * net.lap.laplacian - gain * np.eye(1)
+        e0 = np.array([[15.0 - 5.0]])  # x0 = 15 against the target 5
+        with pytest.raises(DivergenceError) as expected:
+            stagewise_integrate(a, e0, sim.dt, sim.n_steps, integrator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                simulate_single(net, np.ones(1), gain, np.array([15.0]), sim)
+        assert err.value.step == expected.value.step
+        assert err.value.time == expected.value.time
+        return err.value
+
+    def test_divergence_guard_reports_first_bad_step(self):
+        # gain far beyond the explicit-step stability limit blows up fast:
+        # hA = -5 gives |R(hA)| ~ 14, so the first bad step is in the first block
+        self.divergence_matching_oracle("rk4", 5000.0)
+
+    def test_divergence_in_a_later_block(self):
+        # Euler with |1 + hA| chosen to take the error of 10 past 1e12 half a
+        # step after 1.5 blocks, so roundoff cannot move the first bad step
+        rate = (1e12 / 10.0) ** (1.0 / (1.5 * _BLOCK + 0.5))
+        err = self.divergence_matching_oracle("euler", (1.0 + rate) / 1e-3)
+        assert _BLOCK < err.step < 2 * _BLOCK
+
+    def test_divergence_with_overflow_in_its_block(self):
+        # |R(hA)| ~ 1e13 per step: the block overflows to inf after its first
+        # bad step, which must still be the one reported
+        self.divergence_matching_oracle("rk4", 5e6)
 
     def test_euler_integrator(self):
         net = scalar_net()
@@ -244,6 +278,57 @@ class TestCsvExport:
         assert np.array_equal(parsed[:, 1:], traj.states[:, :, 0])
         elines = epath.read_text().splitlines()
         assert elines[0] == "t,node_0,node_1,node_2"
+
+    @staticmethod
+    def fstring_csv(times, table, labels) -> bytes:
+        """The value-by-value writer the block writer must match byte for byte."""
+        out = ["t," + ",".join(labels) + "\n"]
+        for t, row in zip(times, table):
+            out.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        return "".join(out).encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_block_writer_matches_fstring_writer(self, tmp_path, m, stride, rows):
+        n = 3
+        samples = (rows - 1) * stride + 1
+        rng = np.random.default_rng(rows + 10 * stride + 100 * m)
+        states = rng.normal(0.0, 50.0, size=(samples, n, m))
+        special = [-0.0, 5e-324, 1e17, -1e17, -2.5, 1.0 / 3.0, -5e-324, 0.0]
+        flat = states.reshape(-1)
+        flat[: min(len(special), flat.size)] = special[: flat.size]
+        errors = np.abs(rng.normal(0.0, 1.0, size=(samples, n)))
+        errors[0, 0] = -0.0
+        traj = Trajectory(
+            times=np.arange(samples) * 1e-3,
+            states=states,
+            errors=errors,
+            lyapunov=np.sum(errors * errors, axis=1),
+        )
+        if m == 1:
+            labels = [f"node_{i}" for i in range(n)]
+        else:
+            labels = [f"node_{i}_{j}" for i in range(n) for j in range(m)]
+        export_trajectory_csv(traj, tmp_path / "trajectory.csv", stride=stride)
+        export_errors_csv(traj, tmp_path / "errors.csv", stride=stride)
+        times = traj.times[::stride]
+        assert len(times) == rows
+        table = states[::stride].reshape(rows, n * m)
+        assert (tmp_path / "trajectory.csv").read_bytes() == self.fstring_csv(
+            times, table, labels
+        )
+        assert (tmp_path / "errors.csv").read_bytes() == self.fstring_csv(
+            times, errors[::stride], [f"node_{i}" for i in range(n)]
+        )
+
+    def test_stride_validation(self, tmp_path):
+        traj = simulate_single(
+            scalar_net(), np.ones(1), 1.0, np.array([6.0]), SimulationConfig(horizon=0.01)
+        )
+        for export in (export_trajectory_csv, export_errors_csv):
+            with pytest.raises(ValueError, match="stride"):
+                export(traj, tmp_path / "out.csv", stride=0)
 
     def test_validation_of_config(self):
         with pytest.raises(ValueError):

@@ -330,6 +330,33 @@ class TestScenarioIO:
         d["ga"]["stability"].update(bisection_tol=1e-6, max_bisection_iters=60)
         assert scenario_from_dict(d) == tiny_single()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("kind"), "missing required key kind"),
+            (lambda d: d.pop("networks"), "missing required key networks"),
+            (lambda d: d.update(networks={}), "networks must be an array"),
+            (lambda d: d["networks"][0].update(gamma="1"), "networks[0].gamma must be a number"),
+            (
+                lambda d: d["ga"]["stability"].update(delta=None),
+                "ga.stability.delta must be a number",
+            ),
+            (
+                lambda d: d["ga"].update(adaptive_penalty=1),
+                "ga.adaptive_penalty must be true or false",
+            ),
+            (lambda d: d["sim"].update(dt="0.001"), "sim.dt must be a number"),
+            (lambda d: d.update(trials=True), "trials must be an integer"),
+            (lambda d: d.update(profile={"network_sizes": [3]}), "key profile.overlap_counts"),
+        ],
+    )
+    def test_malformed_values_name_their_path(self, edit, message):
+        d = scenario_to_dict(tiny_single())
+        edit(d)
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(d)
+        assert message in str(err.value)
+
     def test_builtin_scenarios_shapes(self):
         single = builtin_scenario("single-50")
         assert single.kind == "single" and single.total_nodes == 50
