@@ -9,13 +9,14 @@ population is pulled toward certifiable sets while minimizing their size.
 
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
-offspring.  Everything is deterministic for a fixed seed, and evaluations are
-stored by gene bitmask, so a chromosome seen before is not solved again.
+offspring.  Everything is deterministic for a fixed seed.  Every chromosome
+bred is solved afresh, with no store of past evaluations; beyond the current
+population, the run keeps only the best feasible individual it has seen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from .network import MultiNetworkSystem
 from .stability import (
-    FeasibilityResult,
     PinningPlan,
     StabilityParams,
     check_gain,
@@ -37,9 +37,6 @@ class Chromosome:
     """Per-network binary pin indicators, aligned with each network's nodes."""
 
     genes: tuple[np.ndarray, ...]  # uint8 arrays
-
-    def key(self) -> bytes:
-        return b"|".join(g.tobytes() for g in self.genes)
 
     def aggregated(self, sys: MultiNetworkSystem) -> np.ndarray:
         """Global 0/1 vector: node pinned in at least one member network."""
@@ -85,14 +82,12 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class FitnessDetails:
-    """Cached evaluation: pin count, violation, gains and per-network results."""
+    """One chromosome's evaluation: distinct pin count, violation and gains."""
 
     pinned_count: int
     xi: float
     feasible: bool
     gains: tuple[Optional[float], ...]
-    per_network: tuple[FeasibilityResult, ...]
-    aggregated: np.ndarray
 
     def score(self, penalty_coeff: float) -> float:
         """Fitness: the pinned count, plus penalty_coeff * xi when infeasible."""
@@ -132,16 +127,12 @@ def fitness(
                 cfg.stability,
             )
         results.append(res)
-    agg = ch.aggregated(sys)
-    count = int(agg.sum())
     xi = infeasibility_multi(results)
     details = FitnessDetails(
-        pinned_count=count,
+        pinned_count=int(ch.aggregated(sys).sum()),
         xi=xi,
         feasible=xi == 0.0,
         gains=tuple(r.gain for r in results),
-        per_network=tuple(results),
-        aggregated=agg,
     )
     return details.score(lam), details
 
@@ -238,8 +229,9 @@ class GaReport:
     feasible one, so ``best_feasible`` separately tracks the lowest-count
     feasible chromosome seen anywhere in the run (None when none was found).
     The series include the initial population as generation 0, so their length
-    is generations + 1.  ``lmi_evaluations`` counts gain solves actually run
-    (cache misses times networks).
+    is generations + 1.  ``lmi_evaluations`` counts the gain solves run, one
+    per network for each chromosome bred: population_size * (generations + 1)
+    * num_networks.
     """
 
     best: Individual
@@ -303,52 +295,36 @@ class GaReport:
                 )
 
 
-class _EvalCache:
-    """Bitmask-keyed store of FitnessDetails; fitness is recomputed from it.
-
-    Also tracks the lowest-count feasible individual seen over the whole run.
-    """
-
-    def __init__(self, sys: MultiNetworkSystem, cfg: GaConfig):
-        self.sys = sys
-        self.cfg = cfg
-        self.store: dict[bytes, FitnessDetails] = {}
-        self.lmi_evaluations = 0
-        self.best_feasible: Optional[Individual] = None
-
-    def evaluate(self, ch: Chromosome, penalty_coeff: float) -> Individual:
-        key = ch.key()
-        det = self.store.get(key)
-        if det is None:
-            _, det = fitness(ch, self.sys, self.cfg, penalty_coeff=penalty_coeff)
-            self.store[key] = det
-            self.lmi_evaluations += self.sys.num_networks
-        ind = Individual(chromosome=ch, fitness=det.score(penalty_coeff), details=det)
-        if det.feasible and (
-            self.best_feasible is None
-            or det.pinned_count < self.best_feasible.details.pinned_count
-        ):
-            self.best_feasible = ind
-        return ind
-
-
 def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     """Run the full evolutionary loop and report per-generation statistics.
 
     Each generation breeds population_size offspring via tournament selection,
     crossover and mutation, then keeps the best population_size individuals of
     parents and offspring combined.  With adaptive_penalty the coefficient
-    grows linearly to twice its base value over the run.
+    grows linearly to twice its base value over the run, and the kept parents
+    are re-scored at each generation's coefficient without a new solve.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    cache = _EvalCache(sys, cfg)
+    best_feasible: Optional[Individual] = None
+    lmi_evaluations = 0
+
+    def evaluate(ch: Chromosome, lam: float) -> Individual:
+        nonlocal best_feasible, lmi_evaluations
+        fit, det = fitness(ch, sys, cfg, penalty_coeff=lam)
+        lmi_evaluations += sys.num_networks
+        ind = Individual(chromosome=ch, fitness=fit, details=det)
+        if det.feasible and (
+            best_feasible is None or det.pinned_count < best_feasible.details.pinned_count
+        ):
+            best_feasible = ind
+        return ind
 
     def lam_at(gen: int) -> float:
         if not cfg.adaptive_penalty or cfg.generations == 0:
             return cfg.penalty_coeff
         return cfg.penalty_coeff * (1.0 + gen / cfg.generations)
 
-    population = [cache.evaluate(ch, lam_at(0)) for ch in init_population(cfg, sys, rng)]
+    population = [evaluate(ch, lam_at(0)) for ch in init_population(cfg, sys, rng)]
     population.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
 
     stats = {"best": [], "mean": [], "count": [], "feasible": []}
@@ -376,9 +352,9 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
             offspring.append(mutate(c2, cfg.mutation_prob, rng))
         offspring = offspring[: cfg.population_size]
 
-        evaluated = [cache.evaluate(ch, lam) for ch in offspring]
+        evaluated = [evaluate(ch, lam) for ch in offspring]
         if cfg.adaptive_penalty:
-            population = [cache.evaluate(i.chromosome, lam) for i in population]
+            population = [replace(i, fitness=i.details.score(lam)) for i in population]
         combined = population + evaluated
         combined.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
         population = combined[: cfg.population_size]
@@ -386,11 +362,11 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
 
     return GaReport(
         best=population[0],
-        best_feasible=cache.best_feasible,
+        best_feasible=best_feasible,
         generations=np.arange(cfg.generations + 1),
         best_fitness=np.array(stats["best"]),
         mean_fitness=np.array(stats["mean"]),
         best_pinned_count=np.array(stats["count"], dtype=np.int64),
         feasible_fraction=np.array(stats["feasible"]),
-        lmi_evaluations=cache.lmi_evaluations,
+        lmi_evaluations=lmi_evaluations,
     )

@@ -288,6 +288,8 @@ _TRIAL_CSV_FIELDS = (
 def _fmt(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -397,16 +399,6 @@ class FixedGainRow:
     mean_terminal_error: Optional[float]
     mean_log10_terminal_error: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mean_pinned_count": self.mean_pinned_count,
-            "std_pinned_count": self.std_pinned_count,
-            "feasibility_rate": self.feasibility_rate,
-            "mean_terminal_error": self.mean_terminal_error,
-            "mean_log10_terminal_error": self.mean_log10_terminal_error,
-        }
-
 
 @dataclass(frozen=True)
 class FixedGainStudy:
@@ -415,8 +407,8 @@ class FixedGainStudy:
 
     def to_dict(self) -> dict:
         return {
-            "baseline": self.baseline.to_dict(),
-            "fixed_gains": [r.to_dict() for r in self.rows],
+            "baseline": asdict(self.baseline),
+            "fixed_gains": [asdict(r) for r in self.rows],
         }
 
 
@@ -453,43 +445,25 @@ def fixed_gain_study(
         raise ValueError("fixed gains must be > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    by_mode: dict[str, list[TrialOutcome]] = {"lmi": []}
-    for c in gains:
-        by_mode[f"c={c:g}"] = []
-    for t in range(trials):
-        by_mode["lmi"].append(run_scenario(sc, trial_index=t))
-        for c in gains:
-            sc_fixed = replace(sc, ga=replace(sc.ga, fixed_gain=float(c)))
-            by_mode[f"c={c:g}"].append(run_scenario(sc_fixed, trial_index=t))
-    study = FixedGainStudy(
-        baseline=_study_row("lmi", by_mode["lmi"]),
-        rows=tuple(_study_row(f"c={c:g}", by_mode[f"c={c:g}"]) for c in gains),
-    )
+    policies = [("lmi", sc)] + [
+        (f"c={c:g}", replace(sc, ga=replace(sc.ga, fixed_gain=float(c)))) for c in gains
+    ]
+    baseline, *rows = [
+        _study_row(label, [run_scenario(policy, trial_index=t) for t in range(trials)])
+        for label, policy in policies
+    ]
+    study = FixedGainStudy(baseline=baseline, rows=tuple(rows))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "fixed_gain_study.json", "w", encoding="utf-8") as fh:
             json.dump(study.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        names = [f.name for f in fields(FixedGainRow)]
         with open(out / "fixed_gain_study.csv", "w", encoding="utf-8") as fh:
-            fh.write(
-                "label,mean_pinned_count,std_pinned_count,feasibility_rate,"
-                "mean_terminal_error,mean_log10_terminal_error\n"
-            )
+            fh.write(",".join(names) + "\n")
             for row in (study.baseline, *study.rows):
-                fh.write(
-                    ",".join(
-                        [
-                            row.label,
-                            _fmt(row.mean_pinned_count),
-                            _fmt(row.std_pinned_count),
-                            _fmt(row.feasibility_rate),
-                            _fmt(row.mean_terminal_error),
-                            _fmt(row.mean_log10_terminal_error),
-                        ]
-                    )
-                    + "\n"
-                )
+                fh.write(",".join(_fmt(getattr(row, name)) for name in names) + "\n")
     return study
 
 

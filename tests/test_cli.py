@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from pinnet.cli import main
-from pinnet.harness import load_scenario, save_scenario
+from pinnet.harness import FixedGainRow, load_scenario, save_scenario
 from pinnet.stability import StabilityParams
 
 from test_harness import tiny_single
@@ -97,7 +98,19 @@ def test_fixed_gain_study_cli(tmp_path, scenario_file, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["baseline"]["label"] == "lmi"
-    assert (out / "fixed_gain_study.csv").exists()
+    with open(out / "fixed_gain_study.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == [f.name for f in fields(FixedGainRow)]
+        rows = list(reader)
+    expected = [payload["baseline"], *payload["fixed_gains"]]
+    assert len(rows) == len(expected) == 3
+    for row, want in zip(rows, expected):
+        assert row["label"] == want["label"]
+        for name in reader.fieldnames[1:]:
+            if want[name] is None:
+                assert row[name] == ""
+            else:
+                assert float(row[name]) == want[name]
 
 
 def test_oracle_cli(scenario_file, capsys):

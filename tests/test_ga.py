@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pinnet import ga
 from pinnet.ga import (
     Chromosome,
     FitnessDetails,
@@ -57,8 +58,6 @@ def dummy_individual(fit: float, count: int) -> Individual:
         xi=0.0,
         feasible=True,
         gains=(1.0,),
-        per_network=(),
-        aggregated=np.zeros(1, dtype=np.uint8),
     )
     return Individual(chromosome=ch, fitness=fit, details=det)
 
@@ -310,10 +309,38 @@ class TestEvolve:
             plan = report.best_plan(sys)
             assert plan.pinned_count == report.best_feasible.details.pinned_count
 
-    def test_adaptive_penalty_runs(self):
+    def test_adaptive_penalty_runs(self, monkeypatch):
+        solves, parents = [], []
+        solve, select = ga.solve_min_gain, ga.tournament_select
+        monkeypatch.setattr(ga, "solve_min_gain", lambda *a: solves.append(a) or solve(*a))
+
+        def spy_select(population, k, rng):
+            if not parents or parents[-1] is not population:
+                parents.append(population)
+            return select(population, k, rng)
+
+        monkeypatch.setattr(ga, "tournament_select", spy_select)
         sys = small_system(n=5, seed=6, threshold=0.6)
-        report = evolve(self._cfg(adaptive_penalty=True, generations=4), sys)
+        cfg = self._cfg(adaptive_penalty=True, generations=4)
+        report = evolve(cfg, sys)
         assert len(report.best_fitness) == 5
+        assert len(solves) == report.lmi_evaluations
+        # generation g breeds from the population ranked at generation g - 1,
+        # whose coefficient is penalty_coeff * (1 + (g - 1) / generations)
+        assert len(parents) == cfg.generations
+        for gen, population in enumerate(parents):
+            lam = cfg.penalty_coeff * (1.0 + gen / cfg.generations)
+            assert all(i.fitness == i.details.score(lam) for i in population)
+        assert report.best.fitness == report.best.details.score(2.0 * cfg.penalty_coeff)
+        assert report.best_fitness[-1] == report.best.fitness
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_every_bred_chromosome_is_solved(self, adaptive):
+        sys = overlap_system(seed=2)
+        cfg = self._cfg(adaptive_penalty=adaptive, generations=5)
+        report = evolve(cfg, sys)
+        expected = cfg.population_size * (cfg.generations + 1) * sys.num_networks
+        assert report.lmi_evaluations == expected
 
     def test_fixed_gain_mode_certifies_at_that_gain(self):
         sys = small_system(n=5, seed=2, threshold=0.5)

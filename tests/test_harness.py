@@ -221,6 +221,14 @@ class TestFixedGainStudy:
         assert study.rows[0].mean_pinned_count >= np.mean(oracle_counts) - 1e-9
         assert study.baseline.mean_pinned_count >= np.mean(oracle_counts) - 1e-9
 
+    def test_gains_with_one_label_keep_their_own_rows(self):
+        # f"c={c:g}" prints both gains as "c=50"; each row must still fold
+        # only the trials run at its own gain
+        sc = tiny_single()
+        pair = fixed_gain_study(sc, [50.0, 50.00001], trials=1)
+        assert [r.label for r in pair.rows] == ["c=50", "c=50"]
+        assert pair.rows[0] == fixed_gain_study(sc, [50.0], trials=1).rows[0]
+
     def test_validation(self):
         sc = tiny_single()
         with pytest.raises(ValueError):

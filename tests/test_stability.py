@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pinnet import stability
 from pinnet.network import generate_adjacency, laplacian, make_network
 from pinnet.stability import (
     FeasibilityResult,
@@ -172,6 +173,41 @@ class TestSolveMinGain:
                 assert abs(res.gain - oracle.gain) <= 1e-6
             else:
                 assert res.xi == oracle.xi > 0.0
+
+    def test_round_up_continues_past_an_uncertified_eigensolve(self, monkeypatch):
+        # With the Cholesky pre-test always passing, every step of the round-up
+        # is eigensolved, so the loop must itself reject steps with margin < 0.
+        monkeypatch.setattr(stability, "_positive_definite", lambda m, shift: True)
+        verdicts = []
+        result_at = stability._result_at
+
+        def spy(lam, gain, params):
+            res = result_at(lam, gain, params)
+            verdicts.append(res.feasible)
+            return res
+
+        monkeypatch.setattr(stability, "_result_at", spy)
+        rng = np.random.default_rng(2024)
+        feasible = retried = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            g = generate_adjacency(n, float(rng.uniform(0.1, 0.8)), int(rng.integers(0, 2**31)))
+            pins = (rng.random(n) < 0.5).astype(float)
+            params = StabilityParams(delta=float(rng.uniform(0.2, 4.0)))
+            verdicts.clear()
+            res = solve_min_gain(
+                laplacian(g).symmetric_part,
+                pins,
+                float(rng.uniform(0.3, 3.0)),
+                float(rng.uniform(0.3, 3.0)),
+                params,
+            )
+            if res.feasible:
+                feasible += 1
+                assert res.margin >= 0.0
+                assert verdicts[-1] and not any(verdicts[:-1])
+                retried += len(verdicts) > 1
+        assert feasible > 0 and retried > 0
 
 
 class TestCheckGain:
