@@ -44,7 +44,7 @@ def _load(args) -> Scenario:
     elif args.profile is not None:
         sc = builtin_scenario(args.profile)
     else:
-        raise SystemExit("either --scenario <file> or --profile <name> is required")
+        raise ValueError("either --scenario <file> or --profile <name> is required")
     if args.seed is not None:
         sc = replace(sc, rng_seed=args.seed)
     if getattr(args, "tol", None) is not None:
@@ -90,11 +90,10 @@ def cmd_fixed_gain(args) -> int:
 
 def cmd_oracle(args) -> int:
     sc = _load(args)
-    if sc.kind != "single":
-        raise SystemExit("oracle runs on single-network scenarios only")
     sys_ = build_system(sc, trial_index=args.trial)
-    net = sys_.networks[0]
-    result = brute_force_min_pinning(net, sc.ga.stability)
+    if sys_.num_networks != 1:
+        raise ValueError("oracle runs on single-network scenarios only")
+    result = brute_force_min_pinning(sys_.networks[0], sc.ga.stability)
     if result is None:
         print(json.dumps({"feasible": False}, indent=2))
         return 2

@@ -7,6 +7,11 @@ simulation settings.  Per-trial seeds derive from the master seed and trial
 index through ``numpy``'s SeedSequence spawning, so batches are reproducible
 and trials independent.
 
+A single-network scenario is built as the one-network case of a membership
+profile.  Scenario files are read and written from the dataclass fields and
+their type hints alone; unknown keys are errors at every level, and a missing
+field without a default is named by its JSON path.
+
 Built-in profiles cover a 50-node single network and three overlapping
 multi-network scales (50/100/200 vehicles).  The stability strictness and the
 multi-network coupling strength in those profiles are calibrated so plans at
@@ -19,9 +24,11 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from collections import abc
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_type_hints
+from types import NoneType, UnionType
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,8 +49,6 @@ from .network import (
     build_multinetwork,
     generate_adjacency,
     generate_membership,
-    make_network,
-    single_network_system,
 )
 from .stability import StabilityParams, check_gain
 
@@ -67,13 +72,17 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One reproducible experiment: construction, GA, simulation, seeds."""
+    """One reproducible experiment: construction, GA, simulation, seeds.
+
+    A single scenario takes ``n`` and no ``profile``; it runs as the profile
+    of one n-node network.
+    """
 
     kind: str  # "single" | "multi"
     threshold: float
     networks: tuple[NetworkSpec, ...]
-    ga: GaConfig
-    sim: SimulationConfig
+    ga: GaConfig = field(default_factory=GaConfig)
+    sim: SimulationConfig = field(default_factory=SimulationConfig)
     trials: int = 1
     rng_seed: int = 0
     n: Optional[int] = None
@@ -86,20 +95,19 @@ class Scenario:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.kind == "single":
-            if self.n is None or self.n < 1:
-                raise ValueError("single scenarios need n >= 1")
-            if len(self.networks) != 1:
-                raise ValueError("single scenarios carry exactly one network spec")
-        else:
-            prof = self.resolved_profile()
-            if len(self.networks) != prof.num_networks:
-                raise ValueError(
-                    "multi scenarios need one network spec per profile network"
-                )
+        takes, refuses = ("n", "profile") if self.kind == "single" else ("profile", "n")
+        if getattr(self, refuses) is not None:
+            raise ValueError(f"a {self.kind} scenario takes {takes} and no {refuses}")
+        k, got = self.resolved_profile().num_networks, len(self.networks)
+        if got != k:
+            raise ValueError(f"this {self.kind} scenario needs {k} network specs, got {got}")
         object.__setattr__(self, "networks", tuple(self.networks))
 
     def resolved_profile(self) -> MembershipProfile:
+        if self.kind == "single":
+            if self.n is None or self.n < 1:
+                raise ValueError("single scenarios need n >= 1")
+            return MembershipProfile((self.n,), {1: self.n})
         if self.profile is None:
             raise ValueError("multi scenarios need a membership profile")
         if isinstance(self.profile, str):
@@ -113,7 +121,7 @@ class Scenario:
 
     @property
     def total_nodes(self) -> int:
-        return self.n if self.kind == "single" else self.resolved_profile().total_nodes
+        return self.resolved_profile().total_nodes
 
 
 @dataclass(frozen=True)
@@ -168,13 +176,6 @@ def _trial_seeds(master: int, trial: int, k: int) -> dict:
 def build_system(sc: Scenario, trial_index: int = 0) -> MultiNetworkSystem:
     """Construct the trial's networks from the derived seeds."""
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
-    if sc.kind == "single":
-        spec = sc.networks[0]
-        g = generate_adjacency(sc.n, sc.threshold, seeds["adjacency"][0])
-        net = make_network(
-            g, spec.coupling_strength, spec.gamma, spec.target
-        )
-        return single_network_system(net)
     prof = sc.resolved_profile()
     n_total = prof.total_nodes
     memberships = generate_membership(n_total, prof, seeds["membership"])
@@ -554,31 +555,13 @@ def builtin_scenario(name: str, rng_seed: Optional[int] = None) -> Scenario:
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    d = {
-        "kind": sc.kind,
-        "threshold": sc.threshold,
-        "networks": [asdict(s) for s in sc.networks],
-        "ga": asdict(sc.ga),
-        "sim": asdict(sc.sim),
-        "trials": sc.trials,
-        "rng_seed": sc.rng_seed,
-    }
-    if sc.kind == "single":
-        d["n"] = sc.n
-    else:
-        if isinstance(sc.profile, str):
-            d["profile"] = sc.profile
-        else:
-            prof = sc.resolved_profile()
-            d["profile"] = {
-                "network_sizes": list(prof.network_sizes),
-                "overlap_counts": {str(m): c for m, c in prof.overlap_counts.items()},
-            }
-    return d
+    """The scenario's fields as plain JSON data, without whichever of n/profile is unset."""
+    d = {key: value for key, value in asdict(sc).items() if value is not None}
+    return json.loads(json.dumps(d))  # tuples to lists, integer keys to strings
 
 
 # Keys older scenario files may carry that no longer configure anything.
-_RETIRED_STABILITY_KEYS = ("bisection_tol", "max_bisection_iters")
+_RETIRED_KEYS = {StabilityParams: ("bisection_tol", "max_bisection_iters")}
 
 
 # The JSON values a field of each type accepts, and how an error names them.
@@ -592,79 +575,82 @@ _JSON_TYPES = {
 }
 
 
+def _json_kind(tp) -> type:
+    """The JSON type a value of type ``tp`` is read from."""
+    if is_dataclass(tp) or get_origin(tp) is abc.Mapping:
+        return dict
+    return list if get_origin(tp) is tuple else tp
+
+
+def _fits(value, kind: type) -> bool:
+    return isinstance(value, _JSON_TYPES[kind][0]) and (
+        kind is bool or not isinstance(value, bool)
+    )
+
+
 def _typed(value, kind: type, path: str):
     """``value`` if it is a JSON value of ``kind``; else a ValueError naming its path."""
-    accepted, name = _JSON_TYPES[kind]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"scenario key {path} must be {name}, got {value!r}")
+    if not _fits(value, kind):
+        raise ValueError(f"scenario key {path} must be {_JSON_TYPES[kind][1]}, got {value!r}")
     return value
 
 
-def _required(d: dict, key: str, kind: type, path: str = ""):
-    if key not in d:
-        raise ValueError(f"scenario is missing required key {path}{key}")
-    return _typed(d[key], kind, path + key)
+def _decode(tp, value, path: str):
+    """Read the JSON ``value`` at ``path`` as a value of the type hint ``tp``.
 
-
-def _from_section(cls, d, path: str, retired: Sequence[str] = ()):
-    """Build a config dataclass from its JSON section at ``path``.
-
-    Unknown keys are rejected, naming the section; a value whose JSON type does
-    not fit a bool, int, float or str field (or its Optional) is rejected,
-    naming its path.
+    A dataclass reads from an object, ``tuple[X, ...]`` from an array and
+    ``Mapping[int, X]`` from an object with integer keys; an Optional or a
+    union takes the arm that the value's JSON type fits.
     """
-    _typed(d, dict, path)
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(d) - names - set(retired))
+    if get_origin(tp) in (Union, UnionType):
+        if value is None and NoneType in get_args(tp):
+            return None
+        arms = [arm for arm in get_args(tp) if arm is not NoneType]
+        for arm in arms:
+            if _fits(value, _json_kind(arm)):
+                return _decode(arm, value, path)
+        expected = " or ".join(_JSON_TYPES[_json_kind(arm)][1] for arm in arms)
+        raise ValueError(f"scenario key {path} must be {expected}, got {value!r}")
+    _typed(value, _json_kind(tp), path)
+    if is_dataclass(tp):
+        return _decode_fields(tp, value, path)
+    if get_origin(tp) is tuple:
+        return tuple(_decode(get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if get_origin(tp) is abc.Mapping:
+        decoded = {}
+        for key, v in value.items():
+            try:
+                m = int(key)
+            except ValueError:
+                raise ValueError(f"scenario key {path} has a non-integer key {key!r}") from None
+            decoded[m] = _decode(get_args(tp)[1], v, f"{path}.{key}")
+        return decoded
+    return value
+
+
+def _decode_fields(cls, d: dict, path: str):
+    """Build the dataclass ``cls`` from the JSON object ``d`` found at ``path``.
+
+    Unknown keys are rejected, naming the section; a missing field without a
+    default is rejected, naming its path; a missing field with one keeps it.
+    """
+    unknown = sorted(set(d) - {f.name for f in fields(cls)} - set(_RETIRED_KEYS.get(cls, ())))
     if unknown:
-        section = path.rsplit(".", 1)[-1].split("[")[0]
+        section = path.rsplit(".", 1)[-1].split("[")[0] or "top-level"
         raise ValueError(f"unknown {section} key(s) in scenario: {', '.join(unknown)}")
     hints = get_type_hints(cls)
-    for key in sorted(names & set(d)):
-        kinds = get_args(hints[key]) or (hints[key],)  # Optional[X] gives (X, NoneType)
-        if kinds[0] in _JSON_TYPES and not (d[key] is None and type(None) in kinds):
-            _typed(d[key], kinds[0], f"{path}.{key}")
-    return cls(**{k: v for k, v in d.items() if k in names})
+    kwargs = {}
+    for f in fields(cls):
+        sub = f"{path}.{f.name}" if path else f.name
+        if f.name in d:
+            kwargs[f.name] = _decode(hints[f.name], d[f.name], sub)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"scenario is missing required key {sub}")
+    return cls(**kwargs)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    _typed(d, dict, "(top level)")
-    ga_d = dict(_typed(d.get("ga", {}), dict, "ga"))
-    stability = _from_section(
-        StabilityParams, ga_d.pop("stability", {}), "ga.stability", _RETIRED_STABILITY_KEYS
-    )
-    ga = _from_section(GaConfig, {**ga_d, "stability": stability}, "ga")
-    sim = _from_section(SimulationConfig, d.get("sim", {}), "sim")
-    networks = tuple(
-        _from_section(NetworkSpec, s, f"networks[{i}]")
-        for i, s in enumerate(_required(d, "networks", list))
-    )
-    profile = d.get("profile")
-    if isinstance(profile, dict):
-        sizes = _required(profile, "network_sizes", list, "profile.")
-        counts = _required(profile, "overlap_counts", dict, "profile.")
-        profile = MembershipProfile(
-            network_sizes=tuple(
-                _typed(v, int, f"profile.network_sizes[{i}]") for i, v in enumerate(sizes)
-            ),
-            overlap_counts={
-                int(m): _typed(c, int, f"profile.overlap_counts.{m}") for m, c in counts.items()
-            },
-        )
-    elif profile is not None and not isinstance(profile, str):
-        raise ValueError(f"scenario key profile must be a string or an object, got {profile!r}")
-    n = d.get("n")
-    return Scenario(
-        kind=_required(d, "kind", str),
-        threshold=_required(d, "threshold", float),
-        networks=networks,
-        ga=ga,
-        sim=sim,
-        trials=_typed(d.get("trials", 1), int, "trials"),
-        rng_seed=_typed(d.get("rng_seed", 0), int, "rng_seed"),
-        n=None if n is None else _typed(n, int, "n"),
-        profile=profile,
-    )
+    return _decode_fields(Scenario, _typed(d, dict, "(top level)"), "")
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

@@ -126,6 +126,21 @@ def test_missing_scenario_is_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate"], "--scenario <file> or --profile <name>"),
+        (["oracle", "--profile", "multi-50"], "single-network scenarios only"),
+    ],
+    ids=["no-scenario", "oracle-on-multi"],
+)
+def test_usage_error_is_one_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_profile_flag_loads_builtin(capsys):
     # oracle on a built-in 50-node profile exceeds the enumeration cap: error
     assert main(["oracle", "--profile", "single-50"]) == 1
@@ -145,10 +160,11 @@ def test_unknown_profile_is_error(tmp_path, capsys):
     assert "no-such-profile" in err and "small-50" in err
 
 
-@pytest.mark.parametrize("section", ["ga", "sim", "stability"])
+@pytest.mark.parametrize("section", ["top-level", "ga", "sim", "stability"])
 def test_unknown_scenario_key_is_error(tmp_path, scenario_file, capsys, section):
     d = json.loads(scenario_file.read_text())
-    (d["ga"]["stability"] if section == "stability" else d[section])["no_such_knob"] = 1
+    sections = {"top-level": d, "ga": d["ga"], "sim": d["sim"], "stability": d["ga"]["stability"]}
+    sections[section]["no_such_knob"] = 1
     scenario_file.write_text(json.dumps(d))
     assert main(["simulate", "--scenario", str(scenario_file)]) == 1
     err = capsys.readouterr().err
@@ -173,8 +189,9 @@ def test_divergence_is_error(tmp_path, capsys):
     [
         (lambda d: d.pop("threshold"), "threshold"),
         (lambda d: d["ga"].update(population_size="100"), "ga.population_size"),
+        (lambda d: d["networks"][0].pop("gamma"), "networks[0].gamma"),
     ],
-    ids=["missing-threshold", "string-population-size"],
+    ids=["missing-threshold", "string-population-size", "missing-gamma"],
 )
 def test_malformed_scenario_is_error(tmp_path, capsys, edit, path):
     file = tmp_path / "single-50.json"

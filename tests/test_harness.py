@@ -49,6 +49,10 @@ def tiny_single(n=8, seed=7, **ga_kw) -> Scenario:
     )
 
 
+# tiny_single's network as the one network of a membership profile
+ONE_NETWORK = {"network_sizes": [8], "overlap_counts": {"1": 8}}
+
+
 def tiny_multi(seed=3) -> Scenario:
     from pinnet.network import MembershipProfile
 
@@ -356,6 +360,20 @@ class TestScenarioIO:
             (lambda d: d["sim"].update(dt="0.001"), "sim.dt must be a number"),
             (lambda d: d.update(trials=True), "trials must be an integer"),
             (lambda d: d.update(profile={"network_sizes": [3]}), "key profile.overlap_counts"),
+            (lambda d: d["networks"][0].pop("gamma"), "missing required key networks[0].gamma"),
+            (lambda d: d.update(seed=7), "unknown top-level key(s) in scenario: seed"),
+            (
+                lambda d: d.update(kind="multi", n=None, profile={**ONE_NETWORK, "extra": 1}),
+                "unknown profile key(s) in scenario: extra",
+            ),
+            (
+                lambda d: d.update(
+                    kind="multi", n=None, profile={**ONE_NETWORK, "overlap_counts": {"one": 8}}
+                ),
+                "scenario key profile.overlap_counts has a non-integer key 'one'",
+            ),
+            (lambda d: d.update(kind="multi", profile=ONE_NETWORK), "takes profile and no n"),
+            (lambda d: d.update(profile="small-50"), "takes n and no profile"),
         ],
     )
     def test_malformed_values_name_their_path(self, edit, message):
@@ -364,6 +382,22 @@ class TestScenarioIO:
         with pytest.raises(ValueError) as err:
             scenario_from_dict(d)
         assert message in str(err.value)
+
+    def test_omitted_config_sections_get_defaults(self):
+        d = scenario_to_dict(tiny_single())
+        del d["ga"], d["sim"]
+        sc = scenario_from_dict(d)
+        assert sc.ga == GaConfig() and sc.sim == SimulationConfig()
+
+    def test_dict_is_plain_json(self):
+        assert scenario_to_dict(tiny_multi())["profile"] == {
+            "network_sizes": [5, 4],
+            "overlap_counts": {"1": 5, "2": 2},
+        }
+        single = scenario_to_dict(builtin_scenario("single-50"))
+        assert single["n"] == 50 and "profile" not in single
+        multi = scenario_to_dict(builtin_scenario("multi-50"))
+        assert multi["profile"] == "small-50" and "n" not in multi
 
     def test_builtin_scenarios_shapes(self):
         single = builtin_scenario("single-50")
