@@ -23,6 +23,7 @@ import numpy as np
 
 from .dynamics import DivergenceError
 from .harness import (
+    BUILTIN_SCENARIOS,
     Scenario,
     brute_force_min_pinning,
     builtin_scenario,
@@ -34,8 +35,6 @@ from .harness import (
     save_scenario,
     scenario_to_dict,
 )
-
-PROFILE_CHOICES = ("single-50", "multi-50", "multi-100", "multi-200")
 
 
 def _load(args) -> Scenario:
@@ -54,9 +53,7 @@ def _load(args) -> Scenario:
 
 def _add_common(p: argparse.ArgumentParser, tol: bool = True) -> None:
     p.add_argument("--scenario", type=Path, help="scenario JSON file")
-    p.add_argument(
-        "--profile", choices=PROFILE_CHOICES, help="built-in study profile"
-    )
+    p.add_argument("--profile", choices=list(BUILTIN_SCENARIOS), help="built-in study profile")
     p.add_argument("--seed", type=int, help="override the scenario master seed")
     p.add_argument("--out", type=Path, help="directory for output artifacts")
     if tol:
@@ -157,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen-scenario", help="emit a built-in scenario as JSON")
-    p.add_argument("--profile", choices=PROFILE_CHOICES, required=True)
+    p.add_argument("--profile", choices=list(BUILTIN_SCENARIOS), required=True)
     p.add_argument("--seed", type=int, help="master seed to embed")
     p.add_argument("--out", type=Path, help="output file or directory")
     p.set_defaults(func=cmd_gen_scenario)

@@ -10,8 +10,9 @@ population is pulled toward certifiable sets while minimizing their size.
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
 offspring.  Everything is deterministic for a fixed seed.  Every chromosome
-bred is solved afresh, with no store of past evaluations; beyond the current
-population, the run keeps only the best feasible individual it has seen.
+bred gets one certificate test per network, with no store of past
+evaluations; beyond the current population, the run keeps only the best
+feasible individual it has seen.  Only the reported chromosomes get gains.
 """
 
 from __future__ import annotations
@@ -82,12 +83,11 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class FitnessDetails:
-    """One chromosome's evaluation: distinct pin count, violation and gains."""
+    """One chromosome's evaluation: distinct pin count and summed violation."""
 
     pinned_count: int
     xi: float
     feasible: bool
-    gains: tuple[Optional[float], ...]
 
     def score(self, penalty_coeff: float) -> float:
         """Fitness: the pinned count, plus penalty_coeff * xi when infeasible."""
@@ -104,37 +104,27 @@ def fitness(
 ) -> tuple[float, FitnessDetails]:
     """Evaluate one chromosome: distinct-pin count plus violation penalty.
 
-    Solves each network's minimal gain (or tests cfg.fixed_gain when set).
-    Feasible everywhere gives fitness exactly equal to the pinned count.
+    Tests each network's certificate at cfg.fixed_gain when set, else at c_max,
+    which certifies exactly the sets that some gain up to c_max does (lambda_min
+    does not fall as the gain grows).  Feasible sets score their pinned count.
     """
     lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
+    gain = cfg.stability.c_max if cfg.fixed_gain is None else cfg.fixed_gain
+    xi = infeasibility_multi(_certify(ch, sys, cfg.stability, gain))
+    details = FitnessDetails(pinned_count=int(ch.aggregated(sys).sum()), xi=xi, feasible=xi == 0.0)
+    return details.score(lam), details
+
+
+def _certify(ch: Chromosome, sys: MultiNetworkSystem, stab: StabilityParams, gain):
+    """Each network's result for the chromosome: tested at ``gain``, or solved if None."""
     results = []
     for net, genes in zip(sys.networks, ch.genes):
         if genes.shape != (net.n,):
             raise ValueError("chromosome shape does not match the system")
         pins = genes.astype(np.float64)
-        if cfg.fixed_gain is None:
-            res = solve_min_gain(
-                net.lap.symmetric_part, pins, net.coupling_strength, net.gamma, cfg.stability
-            )
-        else:
-            res = check_gain(
-                net.lap.symmetric_part,
-                pins,
-                net.coupling_strength,
-                net.gamma,
-                cfg.fixed_gain,
-                cfg.stability,
-            )
-        results.append(res)
-    xi = infeasibility_multi(results)
-    details = FitnessDetails(
-        pinned_count=int(ch.aggregated(sys).sum()),
-        xi=xi,
-        feasible=xi == 0.0,
-        gains=tuple(r.gain for r in results),
-    )
-    return details.score(lam), details
+        a = (net.lap.symmetric_part, pins, net.coupling_strength, net.gamma)
+        results.append(solve_min_gain(*a, stab) if gain is None else check_gain(*a, gain, stab))
+    return results
 
 
 @dataclass(frozen=True)
@@ -228,14 +218,18 @@ class GaReport:
     violations are small the penalty can rank a near-feasible set above a
     feasible one, so ``best_feasible`` separately tracks the lowest-count
     feasible chromosome seen anywhere in the run (None when none was found).
-    The series include the initial population as generation 0, so their length
-    is generations + 1.  ``lmi_evaluations`` counts the gain solves run, one
-    per network for each chromosome bred: population_size * (generations + 1)
+    ``best_gains`` and ``feasible_gains`` are their per-network gains, solved
+    after the last generation (None where a network does not certify).  The
+    series include the initial population as generation 0, so their length is
+    generations + 1.  ``lmi_evaluations`` counts the certificate tests, one per
+    network for each chromosome bred: population_size * (generations + 1)
     * num_networks.
     """
 
     best: Individual
     best_feasible: Optional[Individual]
+    best_gains: tuple[Optional[float], ...]
+    feasible_gains: Optional[tuple[float, ...]]
     generations: np.ndarray
     best_fitness: np.ndarray
     mean_fitness: np.ndarray
@@ -247,8 +241,8 @@ class GaReport:
         """Pins and solved gains of the best feasible chromosome."""
         if self.best_feasible is None:
             raise ValueError("no feasible chromosome was found; nothing to plan with")
-        ind = self.best_feasible
-        return PinningPlan.from_genes(sys, ind.chromosome.genes, ind.details.gains)
+        genes = self.best_feasible.chromosome.genes
+        return PinningPlan.from_genes(sys, genes, self.feasible_gains)
 
     def to_dict(self) -> dict:
         det = self.best.details
@@ -257,7 +251,7 @@ class GaReport:
             "best_pinned_count": det.pinned_count,
             "best_is_feasible": det.feasible,
             "best_xi": det.xi,
-            "best_gains": [None if g is None else float(g) for g in det.gains],
+            "best_gains": [None if g is None else float(g) for g in self.best_gains],
             "best_genes": ["".join(str(int(b)) for b in g) for g in self.best.chromosome.genes],
             "generations": self.generations.tolist(),
             "best_fitness_series": self.best_fitness.tolist(),
@@ -269,10 +263,9 @@ class GaReport:
         if self.best_feasible is None:
             d["feasible_best"] = None
         else:
-            fdet = self.best_feasible.details
             d["feasible_best"] = {
-                "pinned_count": fdet.pinned_count,
-                "gains": [float(g) for g in fdet.gains],
+                "pinned_count": self.best_feasible.details.pinned_count,
+                "gains": [float(g) for g in self.feasible_gains],
                 "genes": [
                     "".join(str(int(b)) for b in g)
                     for g in self.best_feasible.chromosome.genes
@@ -327,6 +320,9 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     population = [evaluate(ch, lam_at(0)) for ch in init_population(cfg, sys, rng)]
     population.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
 
+    def gains(ind: Individual) -> tuple[Optional[float], ...]:
+        return tuple(r.gain for r in _certify(ind.chromosome, sys, cfg.stability, cfg.fixed_gain))
+
     stats = {"best": [], "mean": [], "count": [], "feasible": []}
 
     def record(pop: list[Individual]) -> None:
@@ -363,6 +359,8 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     return GaReport(
         best=population[0],
         best_feasible=best_feasible,
+        best_gains=gains(population[0]),
+        feasible_gains=None if best_feasible is None else gains(best_feasible),
         generations=np.arange(cfg.generations + 1),
         best_fitness=np.array(stats["best"]),
         mean_fitness=np.array(stats["mean"]),

@@ -93,7 +93,11 @@ def stability_matrix(
     gain: float,
     gamma: float,
 ) -> np.ndarray:
-    """Form M = 2*C*gamma*L_s + 2*c*gamma*D_hat, the reduced test matrix."""
+    """Form M = 2*C*gamma*L_s + 2*c*gamma*D_hat, the reduced test matrix.
+
+    The pin term goes onto the diagonal in place, as in ``solve_min_gain``: adding
+    np.diag(pins) would turn L_s's -0.0 entries into +0.0, which moves eigvalsh.
+    """
     l_sym = _check_symmetric(l_sym)
     n = l_sym.shape[0]
     pins = _as_pin_vector(d_hat, n)
@@ -101,7 +105,8 @@ def stability_matrix(
         raise ValueError("coupling and gamma must be > 0")
     if gain < 0.0:
         raise ValueError("gain must be >= 0")
-    m = 2.0 * coupling * gamma * l_sym + 2.0 * gain * gamma * np.diag(pins)
+    m = 2.0 * coupling * gamma * l_sym
+    m[np.diag_indices(n)] += gain * (2.0 * gamma * pins)
     return m
 
 

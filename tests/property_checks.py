@@ -27,6 +27,7 @@ from pinnet.network import (
 from pinnet.stability import (
     FeasibilityResult,
     StabilityParams,
+    check_gain,
     solve_min_gain,
     stability_matrix,
 )
@@ -192,40 +193,52 @@ def check_xi_zero_iff_feasible(n_cases: int) -> None:
     assert feasible_seen > 0 and infeasible_seen > 0
 
 
+def _gain_case(rng, i: int):
+    """One certificate case for the gain checks: (graph, C, gamma, pins, params).
+
+    Graphs range over n = 1..8, and the pin sets cycle with ``i`` through none,
+    every node, a random half, and a random half with delta/q set a hair off
+    the smallest eigenvalue of the unpinned block (a near-singular A_UU).
+    """
+    g = _random_graph(rng, 1, 8)
+    n = g.shape[0]
+    l_sym = laplacian(g).symmetric_part
+    coupling = float(rng.uniform(0.3, 3.0))
+    gamma = float(rng.uniform(0.3, 3.0))
+    q = float(rng.uniform(0.5, 2.0))
+    delta = float(rng.uniform(0.2, 4.0))
+    mode = i % 4
+    if mode == 0:
+        pins = np.zeros(n)
+    elif mode == 1:
+        pins = np.ones(n)
+    else:
+        pins = (rng.random(n) < 0.5).astype(float)
+    unpinned = np.nonzero(pins == 0.0)[0]
+    if mode == 3 and len(unpinned):
+        block = 2.0 * coupling * gamma * l_sym[np.ix_(unpinned, unpinned)]
+        lam_uu = float(np.linalg.eigvalsh(block)[0])
+        if lam_uu > 1e-3:
+            delta = q * lam_uu * (1.0 + float(rng.choice([-1e-9, 1e-9])))
+    params = StabilityParams(delta=delta, q=q, c_max=float(rng.uniform(0.5, 20.0)))
+    return g, coupling, gamma, pins, params
+
+
 def check_exact_gain_matches_bisection(n_cases: int) -> None:
     """The closed-form gain agrees with the bisection oracle, edges included.
 
-    Graphs range over n = 1..8, and the pin sets cycle through none, every
-    node, a random half, and a random half with delta/q set a hair off the
-    smallest eigenvalue of the unpinned block (a near-singular A_UU).  Each
-    feasible case is solved again with c_max set exactly to its gain (still
-    feasible, same gain) and just below it (infeasible for both solvers), and
-    with one pin more, which may not raise the gain beyond roundoff.
+    The cases come from ``_gain_case``.  Each feasible case is solved again
+    with c_max set exactly to its gain (still feasible, same gain) and just
+    below it (infeasible for both solvers), and with one pin more, which may
+    not raise the gain beyond roundoff.
     """
     rng = np.random.default_rng(1011)
     seen = {True: 0, False: 0}
     for i in range(n_cases):
-        g = _random_graph(rng, 1, 8)
+        g, coupling, gamma, pins, params = _gain_case(rng, i)
         n = g.shape[0]
         l_sym = laplacian(g).symmetric_part
-        coupling = float(rng.uniform(0.3, 3.0))
-        gamma = float(rng.uniform(0.3, 3.0))
-        q = float(rng.uniform(0.5, 2.0))
-        delta = float(rng.uniform(0.2, 4.0))
-        mode = i % 4
-        if mode == 0:
-            pins = np.zeros(n)
-        elif mode == 1:
-            pins = np.ones(n)
-        else:
-            pins = (rng.random(n) < 0.5).astype(float)
         unpinned = np.nonzero(pins == 0.0)[0]
-        if mode == 3 and len(unpinned):
-            block = 2.0 * coupling * gamma * l_sym[np.ix_(unpinned, unpinned)]
-            lam_uu = float(np.linalg.eigvalsh(block)[0])
-            if lam_uu > 1e-3:
-                delta = q * lam_uu * (1.0 + float(rng.choice([-1e-9, 1e-9])))
-        params = StabilityParams(delta=delta, q=q, c_max=float(rng.uniform(0.5, 20.0)))
 
         def both(pins, params):
             args = (l_sym, pins, coupling, gamma, params)
@@ -257,6 +270,45 @@ def check_exact_gain_matches_bisection(n_cases: int) -> None:
             extra = solve_min_gain(l_sym, more, coupling, gamma, params)
             assert extra.feasible, case
             assert extra.gain <= exact.gain + 1e-9 * max(1.0, exact.gain), case
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def check_search_verdict_matches_solve(n_cases: int) -> None:
+    """The GA's certificate test at c_max gives the minimal-gain solve's verdict.
+
+    The cases come from ``_gain_case``.  A set solved feasible is tested again
+    with c_max set exactly to its gain and 1e-6 below it.  The search
+    (``fitness``, which tests ``check_gain`` at c_max) and the solve must agree
+    on the verdict, and on an infeasible set give the same margin and xi to
+    the bit.
+    """
+    rng = np.random.default_rng(1013)
+    seen = {True: 0, False: 0}
+    for i in range(n_cases):
+        g, coupling, gamma, pins, params = _gain_case(rng, i)
+        net = make_network(g, coupling, gamma)
+        sys = single_network_system(net)
+        chromosome = Chromosome(genes=(pins.astype(np.uint8),))
+        args = (net.lap.symmetric_part, pins, coupling, gamma)
+
+        def agree(params):
+            solved = solve_min_gain(*args, params)
+            tested = check_gain(*args, params.c_max, params)
+            _, det = fitness(chromosome, sys, GaConfig(stability=params))
+            case = (i, g.shape[0], pins.tolist(), params)
+            assert solved.feasible == tested.feasible == det.feasible, case
+            assert det.xi == tested.xi, case
+            if not solved.feasible:
+                assert (solved.margin, solved.xi) == (tested.margin, tested.xi), case
+            return solved
+
+        solved = agree(params)
+        seen[solved.feasible] += 1
+        if solved.feasible and solved.gain > 1e-6:
+            agree(replace(params, c_max=solved.gain))
+            below = solved.gain - 1e-6 * max(1.0, solved.gain)
+            if below > 0.0:
+                agree(replace(params, c_max=below))
     assert seen[True] > 0 and seen[False] > 0
 
 
@@ -451,6 +503,7 @@ ALL_CHECKS = (
     ("all-pinned bound certifies", check_all_pinned_bound_certifies),
     ("xi zero iff feasible", check_xi_zero_iff_feasible),
     ("exact gain matches bisection", check_exact_gain_matches_bisection),
+    ("search verdict at c_max matches the minimal-gain solve", check_search_verdict_matches_solve),
     ("Lyapunov descent on certified runs", check_lyapunov_descent_on_certified_runs),
     ("error superposition scaling", check_error_trajectory_superposition),
     ("rk4 step-halving ratio ~16", check_rk4_step_halving_fourth_order),

@@ -92,14 +92,17 @@ class TestBuildSystem:
         assert sizes == [5, 4]
 
     def test_initial_states_follow_membership_means(self):
+        # with a tiny spread each draw sits on its node's mean: the mean of
+        # init_mean over the networks the node belongs to
         sc = tiny_multi()
+        sc = replace(sc, networks=tuple(replace(s, init_std=1e-9) for s in sc.networks))
         sys = build_system(sc, 0)
         x0 = draw_initial_states(sc, sys, 0)
         assert x0.shape == (7, 1)
-        draws = np.concatenate(
-            [draw_initial_states(sc, sys, 0)[:, 0] for _ in range(1)]
-        )
-        assert np.array_equal(draws, x0[:, 0])  # deterministic per trial
+        assert sum(len(m) == 2 for m in sys.memberships) == 2
+        means = [np.mean([sc.networks[k].init_mean for k in m]) for m in sys.memberships]
+        np.testing.assert_allclose(x0[:, 0], means, rtol=0.0, atol=1e-6)
+        assert np.array_equal(draw_initial_states(sc, sys, 0), x0)  # deterministic per trial
 
 
 class TestRunScenario:
@@ -412,7 +415,8 @@ class TestScenarioIO:
             assert [s.init_std for s in sc.networks] == [10.0, 12.0, 8.0]
         pops = [builtin_scenario(n).ga.population_size for n in ("multi-50", "multi-100", "multi-200")]
         assert pops == [100, 200, 400]
-        with pytest.raises(ValueError):
+        names = ", ".join(["single-50", "multi-50", "multi-100", "multi-200"])
+        with pytest.raises(ValueError, match=f"'multi-33'; choose from {names}$"):
             builtin_scenario("multi-33")
 
     def test_seed_override(self):
