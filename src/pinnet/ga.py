@@ -13,6 +13,10 @@ offspring.  Everything is deterministic for a fixed seed.  Every chromosome
 bred gets one certificate test per network, with no store of past
 evaluations; beyond the current population, the run keeps only the best
 feasible individual it has seen.  Only the reported chromosomes get gains.
+
+The certificate tests go through one ``CertificateTest`` per network, built once
+per search at the search gain: a Cholesky factor settles a feasible set, and
+only the sets it rejects are eigensolved.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ import numpy as np
 
 from .network import MultiNetworkSystem
 from .stability import (
+    CertificateTest,
     PinningPlan,
     StabilityParams,
     check_gain,
-    infeasibility_multi,
     solve_min_gain,
 )
 
@@ -109,8 +113,25 @@ def fitness(
     does not fall as the gain grows).  Feasible sets score their pinned count.
     """
     lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
+    return _score(ch, sys, _certificate_tests(sys, cfg), lam)
+
+
+def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[CertificateTest]:
+    """One certificate test per network at the search gain: fixed_gain, else c_max."""
     gain = cfg.stability.c_max if cfg.fixed_gain is None else cfg.fixed_gain
-    xi = infeasibility_multi(_certify(ch, sys, cfg.stability, gain))
+    return [
+        CertificateTest(
+            net.lap.symmetric_part, net.coupling_strength, net.gamma, gain, cfg.stability
+        )
+        for net in sys.networks
+    ]
+
+
+def _score(
+    ch: Chromosome, sys: MultiNetworkSystem, tests: Sequence[CertificateTest], lam: float
+) -> tuple[float, FitnessDetails]:
+    """Fitness and details of a chromosome; xi is the sum of the networks' violations."""
+    xi = float(sum(test.xi(genes) for test, genes in zip(tests, ch.genes)))
     details = FitnessDetails(pinned_count=int(ch.aggregated(sys).sum()), xi=xi, feasible=xi == 0.0)
     return details.score(lam), details
 
@@ -223,7 +244,8 @@ class GaReport:
     series include the initial population as generation 0, so their length is
     generations + 1.  ``lmi_evaluations`` counts the certificate tests, one per
     network for each chromosome bred: population_size * (generations + 1)
-    * num_networks.
+    * num_networks.  ``eigensolves`` counts those the Cholesky test did not
+    settle, which fell through to an eigensolve.
     """
 
     best: Individual
@@ -236,6 +258,7 @@ class GaReport:
     best_pinned_count: np.ndarray
     feasible_fraction: np.ndarray
     lmi_evaluations: int
+    eigensolves: int
 
     def best_plan(self, sys: MultiNetworkSystem) -> PinningPlan:
         """Pins and solved gains of the best feasible chromosome."""
@@ -259,6 +282,7 @@ class GaReport:
             "best_pinned_count_series": self.best_pinned_count.tolist(),
             "feasible_fraction_series": self.feasible_fraction.tolist(),
             "lmi_evaluations": self.lmi_evaluations,
+            "eigensolves": self.eigensolves,
         }
         if self.best_feasible is None:
             d["feasible_best"] = None
@@ -298,12 +322,13 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     are re-scored at each generation's coefficient without a new solve.
     """
     rng = np.random.default_rng(cfg.rng_seed)
+    tests = _certificate_tests(sys, cfg)
     best_feasible: Optional[Individual] = None
     lmi_evaluations = 0
 
     def evaluate(ch: Chromosome, lam: float) -> Individual:
         nonlocal best_feasible, lmi_evaluations
-        fit, det = fitness(ch, sys, cfg, penalty_coeff=lam)
+        fit, det = _score(ch, sys, tests, lam)
         lmi_evaluations += sys.num_networks
         ind = Individual(chromosome=ch, fitness=fit, details=det)
         if det.feasible and (
@@ -367,4 +392,5 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
         best_pinned_count=np.array(stats["count"], dtype=np.int64),
         feasible_fraction=np.array(stats["feasible"]),
         lmi_evaluations=lmi_evaluations,
+        eigensolves=sum(test.eigensolves for test in tests),
     )

@@ -50,7 +50,7 @@ from .network import (
     generate_adjacency,
     generate_membership,
 )
-from .stability import StabilityParams, check_gain
+from .stability import CertificateTest, StabilityParams
 
 BRUTE_FORCE_NODE_CAP = 16
 
@@ -474,22 +474,23 @@ def brute_force_min_pinning(
 
     Walks subsets in increasing cardinality (lexicographic within a size) and
     returns the first one certifiable at c_max, or None when even pinning
-    everything fails.  Refuses networks above 16 nodes.
+    everything fails.  Every subset goes through the search's certificate
+    test, so the oracle and the GA share one feasibility rule.  Refuses
+    networks above 16 nodes.
     """
     n = net.n
     if n > BRUTE_FORCE_NODE_CAP:
         raise ValueError(
             f"brute force capped at {BRUTE_FORCE_NODE_CAP} nodes (2^n subsets); got n={n}"
         )
-    l_sym = net.lap.symmetric_part
+    test = CertificateTest(
+        net.lap.symmetric_part, net.coupling_strength, net.gamma, params.c_max, params
+    )
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             pins = np.zeros(n)
             pins[list(subset)] = 1.0
-            res = check_gain(
-                l_sym, pins, net.coupling_strength, net.gamma, params.c_max, params
-            )
-            if res.feasible:
+            if test.xi(pins) == 0.0:
                 return size, pins
     return None
 

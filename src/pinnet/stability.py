@@ -16,6 +16,11 @@ When no gain up to c_max certifies the set, the infeasibility measure xi is
 the Frobenius norm of the violating part of the shifted matrix, i.e.
 sqrt(sum_i max(0, delta - q*lambda_i)^2) at c = c_max; xi is zero exactly on
 feasible sets, which is what makes it usable as a search penalty.
+
+The search tests many pin sets of one network at one gain through a
+``CertificateTest``: it forms 2*C*gamma*L_s once, settles a set as feasible
+when M - (delta/q + tol)*I has a Cholesky factor, and eigensolves only the
+sets that test rejects, which need the spectrum for xi anyway.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 from .network import MultiNetworkSystem
 
 SYMMETRY_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -93,20 +99,30 @@ def stability_matrix(
     gain: float,
     gamma: float,
 ) -> np.ndarray:
-    """Form M = 2*C*gamma*L_s + 2*c*gamma*D_hat, the reduced test matrix.
-
-    The pin term goes onto the diagonal in place, as in ``solve_min_gain``: adding
-    np.diag(pins) would turn L_s's -0.0 entries into +0.0, which moves eigvalsh.
-    """
-    l_sym = _check_symmetric(l_sym)
-    n = l_sym.shape[0]
-    pins = _as_pin_vector(d_hat, n)
-    if coupling <= 0.0 or gamma <= 0.0:
-        raise ValueError("coupling and gamma must be > 0")
+    """Form M = 2*C*gamma*L_s + 2*c*gamma*D_hat, the reduced test matrix."""
+    base = _coupling_term(l_sym, coupling, gamma)
     if gain < 0.0:
         raise ValueError("gain must be >= 0")
-    m = 2.0 * coupling * gamma * l_sym
-    m[np.diag_indices(n)] += gain * (2.0 * gamma * pins)
+    return _with_pins(base, _as_pin_vector(d_hat, len(base)), gain, gamma)
+
+
+def _coupling_term(l_sym: np.ndarray, coupling: float, gamma: float) -> np.ndarray:
+    """2*C*gamma*L_s, once L_s is checked symmetric and C, gamma positive."""
+    l_sym = _check_symmetric(l_sym)
+    if coupling <= 0.0 or gamma <= 0.0:
+        raise ValueError("coupling and gamma must be > 0")
+    return 2.0 * coupling * gamma * l_sym
+
+
+def _with_pins(base: np.ndarray, pins: np.ndarray, gain: float, gamma: float) -> np.ndarray:
+    """A copy of ``base`` with 2*c*gamma*pins added to its diagonal in place.
+
+    Every test matrix is formed here, so the search, the solve and
+    ``stability_matrix`` see the same bits.  Adding np.diag(pins) instead would
+    turn L_s's -0.0 entries into +0.0, which moves eigvalsh.
+    """
+    m = base.copy()
+    m.reshape(-1)[:: len(m) + 1] += gain * (2.0 * gamma * pins)
     return m
 
 
@@ -152,6 +168,54 @@ def check_gain(
     return _result_at(np.linalg.eigvalsh(m), gain, params)
 
 
+class CertificateTest:
+    """One network's certificate at one gain, for many pin sets.
+
+    2*C*gamma*L_s is formed and checked once.  A pin set is feasible, with
+    xi = 0 and no spectrum, when M - (delta/q + tol)*I has a Cholesky factor;
+    every other set is eigensolved, which gives ``check_gain``'s verdict and
+    xi.  ``eigensolves`` counts those fall-throughs.
+
+    A floating-point Cholesky factor of M - s*I proves M >= s*I only up to a
+    rounding term that grows like (n+1)*eps times the size of M (Rump,
+    "Verification of positive definiteness", BIT 46, 2006), and eigvalsh errs
+    by about eps*||M||.  The round-up's tol = 2*eps*||M||_F in
+    ``solve_min_gain`` is not enough here, where no eigensolve follows a
+    pass: on sampled matrices of 2-70 rows the Cholesky test passed up to
+    2.04*eps*||M||_F above eigvalsh's lambda_min.  This test uses
+    tol = (n+1)*eps*(||2*C*gamma*L_s||_F + 2*gamma*c*sqrt(n)), computed once;
+    it bounds (n+1)*eps*||M||_F for every pin set.
+    """
+
+    def __init__(
+        self,
+        l_sym: np.ndarray,
+        coupling: float,
+        gamma: float,
+        gain: float,
+        params: StabilityParams,
+    ):
+        self._base = _coupling_term(l_sym, coupling, gamma)
+        if gain < 0.0:
+            raise ValueError("gain must be >= 0")
+        n = len(self._base)
+        norm_bound = float(np.linalg.norm(self._base)) + 2.0 * gamma * gain * n**0.5
+        self._shift = params.delta / params.q + (n + 1) * _EPS * norm_bound
+        self._gamma = gamma
+        self._gain = gain
+        self._params = params
+        self.eigensolves = 0
+
+    def xi(self, d_hat: np.ndarray) -> float:
+        """The pin set's violation at the gain; zero exactly when it certifies."""
+        pins = _as_pin_vector(d_hat, len(self._base))
+        m = _with_pins(self._base, pins, self._gain, self._gamma)
+        if _positive_definite(m, self._shift):
+            return 0.0
+        self.eigensolves += 1
+        return _result_at(np.linalg.eigvalsh(m), self._gain, self._params).xi
+
+
 def solve_min_gain(
     l_sym: np.ndarray,
     d_hat: np.ndarray,
@@ -172,14 +236,9 @@ def solve_min_gain(
     or the gain would pass c_max, the spectrum at c_max decides feasibility
     and gives xi.
     """
-    l_sym = _check_symmetric(l_sym)
-    n = l_sym.shape[0]
+    base = _coupling_term(l_sym, coupling, gamma)
+    n = len(base)
     pins = _as_pin_vector(d_hat, n)
-    if coupling <= 0.0 or gamma <= 0.0:
-        raise ValueError("coupling and gamma must be > 0")
-
-    base = 2.0 * coupling * gamma * l_sym
-    lift = 2.0 * gamma * pins  # diagonal increment per unit gain
     shifted = base.copy()
     shifted[np.diag_indices(n)] -= params.delta / params.q
     p, u = pins == 1.0, pins == 0.0
@@ -197,12 +256,11 @@ def solve_min_gain(
 
     bump = 0.0
     while True:
-        m = base.copy()
-        m[np.diag_indices(n)] += gain * lift
+        m = _with_pins(base, pins, gain, gamma)
         # eigvalsh is accurate to about eps*||M||, so a gain at which
         # M - (delta/q + tol)*I has a Cholesky factor should certify.  Only such
         # a gain is eigensolved, and the eigensolve has the last word.
-        tol = 2.0 * np.finfo(np.float64).eps * float(np.linalg.norm(m))
+        tol = 2.0 * _EPS * float(np.linalg.norm(m))
         if gain >= params.c_max or _positive_definite(m, params.delta / params.q + tol):
             res = _result_at(np.linalg.eigvalsh(m), gain, params)
             if res.feasible or gain >= params.c_max:
@@ -216,7 +274,7 @@ def solve_min_gain(
 def _positive_definite(m: np.ndarray, shift: float) -> bool:
     """Whether m - shift*I has a Cholesky factor."""
     shifted = m.copy()
-    shifted[np.diag_indices(len(m))] -= shift
+    shifted.reshape(-1)[:: len(m) + 1] -= shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -25,6 +25,7 @@ from pinnet.network import (
     single_network_system,
 )
 from pinnet.stability import (
+    CertificateTest,
     FeasibilityResult,
     StabilityParams,
     check_gain,
@@ -274,15 +275,20 @@ def check_exact_gain_matches_bisection(n_cases: int) -> None:
 
 
 def check_search_verdict_matches_solve(n_cases: int) -> None:
-    """The GA's certificate test at c_max gives the minimal-gain solve's verdict.
+    """The search's certificate test gives check_gain's and the solve's verdicts.
 
-    The cases come from ``_gain_case``.  A set solved feasible is tested again
-    with c_max set exactly to its gain and 1e-6 below it.  The search
-    (``fitness``, which tests ``check_gain`` at c_max) and the solve must agree
-    on the verdict, and on an infeasible set give the same margin and xi to
-    the bit.
+    The cases come from ``_gain_case``.  Each is tested at c_max and at a fixed
+    gain in [0, c_max].  A set solved feasible is tested again with c_max set
+    exactly to its gain and 1e-6 below it.  Where lambda_min at c_max is
+    positive, delta is also set one and two ulps above q * lambda_min, where
+    only the tolerance keeps the Cholesky test from passing a set the
+    eigensolve rejects, and one ulp below it.  At every gain,
+    ``CertificateTest`` and ``fitness`` must give ``check_gain``'s verdict and
+    xi to the bit; at c_max the verdict must be the minimal-gain solve's, with
+    the same margin and xi to the bit on an infeasible set.
     """
     rng = np.random.default_rng(1013)
+    eps = float(np.finfo(np.float64).eps)
     seen = {True: 0, False: 0}
     for i in range(n_cases):
         g, coupling, gamma, pins, params = _gain_case(rng, i)
@@ -291,24 +297,40 @@ def check_search_verdict_matches_solve(n_cases: int) -> None:
         chromosome = Chromosome(genes=(pins.astype(np.uint8),))
         args = (net.lap.symmetric_part, pins, coupling, gamma)
 
+        def tested(gain, params):
+            exact = check_gain(*args, gain, params)
+            test = CertificateTest(net.lap.symmetric_part, coupling, gamma, gain, params)
+            xi = test.xi(pins)
+            _, det = fitness(chromosome, sys, GaConfig(stability=params, fixed_gain=gain))
+            case = (i, g.shape[0], pins.tolist(), gain, params)
+            assert (xi == 0.0) == det.feasible == exact.feasible, case
+            assert xi == det.xi == exact.xi, case
+            return exact
+
         def agree(params):
             solved = solve_min_gain(*args, params)
-            tested = check_gain(*args, params.c_max, params)
+            at_c_max = tested(params.c_max, params)
             _, det = fitness(chromosome, sys, GaConfig(stability=params))
             case = (i, g.shape[0], pins.tolist(), params)
-            assert solved.feasible == tested.feasible == det.feasible, case
-            assert det.xi == tested.xi, case
+            assert solved.feasible == at_c_max.feasible == det.feasible, case
+            assert det.xi == at_c_max.xi, case
             if not solved.feasible:
-                assert (solved.margin, solved.xi) == (tested.margin, tested.xi), case
+                assert (solved.margin, solved.xi) == (at_c_max.margin, at_c_max.xi), case
             return solved
 
         solved = agree(params)
         seen[solved.feasible] += 1
+        tested(float(rng.uniform(0.0, params.c_max)), params)
         if solved.feasible and solved.gain > 1e-6:
             agree(replace(params, c_max=solved.gain))
             below = solved.gain - 1e-6 * max(1.0, solved.gain)
             if below > 0.0:
                 agree(replace(params, c_max=below))
+        m_top = stability_matrix(net.lap.symmetric_part, pins, coupling, params.c_max, gamma)
+        top = params.q * float(np.linalg.eigvalsh(m_top)[0])
+        if top > 1e-3:
+            for ulps in (1.0, 2.0, -1.0):
+                agree(replace(params, delta=top * (1.0 + ulps * eps)))
     assert seen[True] > 0 and seen[False] > 0
 
 

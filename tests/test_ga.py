@@ -24,7 +24,7 @@ from pinnet.network import (
     make_network,
     single_network_system,
 )
-from pinnet.stability import StabilityParams
+from pinnet.stability import CertificateTest, StabilityParams
 
 
 def small_system(n=6, seed=0, threshold=0.4):
@@ -133,6 +133,13 @@ class TestFitness:
         sys = small_system()
         with pytest.raises(ValueError):
             fitness(Chromosome(genes=(np.ones(4, dtype=np.uint8),)), sys, GaConfig())
+
+    def test_gene_outside_zero_one_rejected(self):
+        sys = small_system()
+        genes = np.ones(6, dtype=np.uint8)
+        genes[3] = 2  # all other genes pinned, so the set would certify
+        with pytest.raises(ValueError, match="0 or 1"):
+            fitness(Chromosome(genes=(genes,)), sys, GaConfig())
 
 
 class TestTournament:
@@ -305,8 +312,8 @@ class TestEvolve:
 
     def test_adaptive_penalty_runs(self, monkeypatch):
         tests, solves, parents = [], [], []
-        check, solve, select = ga.check_gain, ga.solve_min_gain, ga.tournament_select
-        monkeypatch.setattr(ga, "check_gain", lambda *a: tests.append(a) or check(*a))
+        verdict, solve, select = CertificateTest.xi, ga.solve_min_gain, ga.tournament_select
+        monkeypatch.setattr(CertificateTest, "xi", lambda *a: tests.append(a) or verdict(*a))
         monkeypatch.setattr(ga, "solve_min_gain", lambda *a: solves.append(a) or solve(*a))
 
         def spy_select(population, k, rng):
@@ -322,6 +329,7 @@ class TestEvolve:
         # one certificate test per network per chromosome bred; gains are
         # solved only for the two reported chromosomes
         assert len(tests) == report.lmi_evaluations
+        assert 0 < report.eigensolves < report.lmi_evaluations
         assert len(solves) <= 2 * sys.num_networks
         # generation g breeds from the population ranked at generation g - 1,
         # whose coefficient is penalty_coeff * (1 + (g - 1) / generations)

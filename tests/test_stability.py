@@ -6,6 +6,7 @@ import pytest
 from pinnet import stability
 from pinnet.network import generate_adjacency, laplacian, make_network
 from pinnet.stability import (
+    CertificateTest,
     FeasibilityResult,
     PinningPlan,
     StabilityParams,
@@ -219,6 +220,30 @@ class TestCheckGain:
         bad = check_gain(l_sym, np.ones(1), 1.0, 1.0, 0.4, params)
         assert not bad.feasible and bad.gain is None
         assert abs(bad.xi - hinge_norm(np.array([[0.8]]), 1.0)) <= 1e-15
+
+
+class TestCertificateTest:
+    def test_eigensolves_only_what_cholesky_rejects(self):
+        l_sym = np.zeros((1, 1))
+        params = StabilityParams(delta=1.0)
+        ok = CertificateTest(l_sym, 1.0, 1.0, 0.6, params)
+        assert ok.xi(np.ones(1)) == 0.0 and ok.eigensolves == 0
+        bad = CertificateTest(l_sym, 1.0, 1.0, 0.4, params)
+        assert bad.xi(np.ones(1)) == check_gain(l_sym, np.ones(1), 1.0, 1.0, 0.4, params).xi
+        assert bad.xi(np.zeros(1)) == 1.0 and bad.eigensolves == 2
+
+    def test_rejects_bad_input(self):
+        params = StabilityParams()
+        with pytest.raises(ValueError):
+            CertificateTest(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 1.0, 1.0, params)
+        with pytest.raises(ValueError):
+            CertificateTest(np.zeros((2, 2)), 1.0, 0.0, 1.0, params)
+        with pytest.raises(ValueError):
+            CertificateTest(np.zeros((2, 2)), 1.0, 1.0, -0.1, params)
+        test = CertificateTest(np.zeros((2, 2)), 1.0, 1.0, 1.0, params)
+        for pins in (np.ones(3), np.array([0.5, 1.0]), np.diag([1.0, 2.0])):
+            with pytest.raises(ValueError):
+                test.xi(pins)
 
 
 class TestInfeasibilityMulti:
