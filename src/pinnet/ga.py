@@ -15,8 +15,10 @@ evaluations; beyond the current population, the run keeps only the best
 feasible individual it has seen.  Only the reported chromosomes get gains.
 
 The certificate tests go through one ``CertificateTest`` per network, built once
-per search at the search gain: a Cholesky factor settles a feasible set, and
-only the sets it rejects are eigensolved.
+per search at the search gain.  Each generation is scored with one call per
+network on the matrix of its pin sets: a Cholesky factor settles a feasible
+set, and only the sets it rejects are eigensolved.  Crossover and mutation
+draw their random numbers for the whole chromosome at once.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ class Chromosome:
     """Per-network binary pin indicators, aligned with each network's nodes."""
 
     genes: tuple[np.ndarray, ...]  # uint8 arrays
-
-    def aggregated(self, sys: MultiNetworkSystem) -> np.ndarray:
-        """Global 0/1 vector: node pinned in at least one member network."""
-        agg = np.zeros(sys.total_nodes, dtype=np.uint8)
-        for net, g in zip(sys.networks, self.genes):
-            np.maximum.at(agg, net.node_ids, g)
-        return agg
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ def fitness(
     does not fall as the gain grows).  Feasible sets score their pinned count.
     """
     lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
-    return _score(ch, sys, _certificate_tests(sys, cfg), lam)
+    return _score([ch], sys, _certificate_tests(sys, cfg), lam)[0]
 
 
 def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[CertificateTest]:
@@ -128,20 +123,48 @@ def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[Certifica
 
 
 def _score(
-    ch: Chromosome, sys: MultiNetworkSystem, tests: Sequence[CertificateTest], lam: float
-) -> tuple[float, FitnessDetails]:
-    """Fitness and details of a chromosome; xi is the sum of the networks' violations."""
-    xi = float(sum(test.xi(genes) for test, genes in zip(tests, ch.genes)))
-    details = FitnessDetails(pinned_count=int(ch.aggregated(sys).sum()), xi=xi, feasible=xi == 0.0)
-    return details.score(lam), details
+    chromosomes: Sequence[Chromosome],
+    sys: MultiNetworkSystem,
+    tests: Sequence[CertificateTest],
+    lam: float,
+) -> list[tuple[float, FitnessDetails]]:
+    """Fitness and details of each chromosome, with one certificate call per network.
+
+    xi is the sum of the networks' violations, in network order; the pinned
+    count ORs each network's pins into one (B, N) array of global nodes.
+    """
+    xi = np.zeros(len(chromosomes))
+    pinned = np.zeros((len(chromosomes), sys.total_nodes), dtype=bool)
+    for net, test, genes in zip(sys.networks, tests, _gene_rows(chromosomes, sys)):
+        xi += test.xis(genes)
+        pinned[:, net.node_ids] |= genes == 1
+    scored = []
+    for x, count in zip(xi.tolist(), pinned.sum(axis=1).tolist()):
+        details = FitnessDetails(pinned_count=count, xi=x, feasible=x == 0.0)
+        scored.append((details.score(lam), details))
+    return scored
+
+
+def _gene_rows(chromosomes: Sequence[Chromosome], sys: MultiNetworkSystem) -> list[np.ndarray]:
+    """Each network's genes as a (B, n) matrix, one row per chromosome."""
+    if any(len(ch.genes) != sys.num_networks for ch in chromosomes):
+        raise ValueError(f"a chromosome needs one gene array per network ({sys.num_networks})")
+    rows = []
+    for k, net in enumerate(sys.networks):
+        try:
+            genes = np.stack([ch.genes[k] for ch in chromosomes])
+        except ValueError:  # gene arrays of different shapes
+            genes = None
+        if genes is None or genes.shape[1:] != (net.n,):
+            raise ValueError("chromosome shape does not match the system")
+        rows.append(genes)
+    return rows
 
 
 def _certify(ch: Chromosome, sys: MultiNetworkSystem, stab: StabilityParams, gain):
     """Each network's result for the chromosome: tested at ``gain``, or solved if None."""
     results = []
-    for net, genes in zip(sys.networks, ch.genes):
-        if genes.shape != (net.n,):
-            raise ValueError("chromosome shape does not match the system")
+    for net, (genes,) in zip(sys.networks, _gene_rows([ch], sys)):
         pins = genes.astype(np.float64)
         a = (net.lap.symmetric_part, pins, net.coupling_strength, net.gamma)
         results.append(solve_min_gain(*a, stab) if gain is None else check_gain(*a, gain, stab))
@@ -195,39 +218,43 @@ def crossover(
 
     Uniform crossover swaps each gene between the children with probability
     one half; one-point crossover splits the concatenated gene string once.
+    Either works on the concatenated string, so uniform crossover draws its
+    coins for the whole chromosome at once.
     """
     if len(a.genes) != len(b.genes) or any(
         x.shape != y.shape for x, y in zip(a.genes, b.genes)
     ):
         raise ValueError("parents must have matching gene shapes")
-    c1 = [g.copy() for g in a.genes]
-    c2 = [g.copy() for g in b.genes]
-    if rng.random() < p_c:
-        if op == "uniform":
-            for k in range(len(c1)):
-                mask = rng.random(c1[k].shape[0]) < 0.5
-                c1[k][mask], c2[k][mask] = b.genes[k][mask], a.genes[k][mask]
-        elif op == "one_point":
-            total = sum(g.shape[0] for g in c1)
-            point = int(rng.integers(1, total)) if total > 1 else 0
-            offset = 0
-            for k in range(len(c1)):
-                size = c1[k].shape[0]
-                lo = max(0, point - offset)
-                if lo < size:
-                    c1[k][lo:], c2[k][lo:] = b.genes[k][lo:], a.genes[k][lo:]
-                offset += size
-        else:
-            raise ValueError(f"unknown crossover op {op!r}")
-    return Chromosome(genes=tuple(c1)), Chromosome(genes=tuple(c2))
+    flat_a, flat_b = np.concatenate(a.genes), np.concatenate(b.genes)
+    if rng.random() >= p_c:
+        return _split(flat_a, a), _split(flat_b, b)
+    total = len(flat_a)
+    if op == "uniform":
+        swap = rng.random(total) < 0.5
+    elif op == "one_point":
+        point = int(rng.integers(1, total)) if total > 1 else 0
+        swap = np.arange(total) >= point
+    else:
+        raise ValueError(f"unknown crossover op {op!r}")
+    return (
+        _split(np.where(swap, flat_b, flat_a), a),
+        _split(np.where(swap, flat_a, flat_b), b),
+    )
 
 
 def mutate(ch: Chromosome, p_m: float, rng: np.random.Generator) -> Chromosome:
     """Flip each defined gene independently with probability p_m."""
-    genes = []
-    for g in ch.genes:
-        flips = rng.random(g.shape[0]) < p_m
-        genes.append(g ^ flips.astype(np.uint8))
+    flat = np.concatenate(ch.genes)
+    flips = rng.random(len(flat)) < p_m
+    return _split(flat ^ flips.astype(np.uint8), ch)
+
+
+def _split(flat: np.ndarray, like: Chromosome) -> Chromosome:
+    """A chromosome cut from a concatenated gene string, shaped like ``like``."""
+    genes, start = [], 0
+    for g in like.genes:
+        genes.append(flat[start : start + len(g)])
+        start += len(g)
     return Chromosome(genes=tuple(genes))
 
 
@@ -326,23 +353,25 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     best_feasible: Optional[Individual] = None
     lmi_evaluations = 0
 
-    def evaluate(ch: Chromosome, lam: float) -> Individual:
+    def evaluate(chromosomes: list[Chromosome], lam: float) -> list[Individual]:
         nonlocal best_feasible, lmi_evaluations
-        fit, det = _score(ch, sys, tests, lam)
-        lmi_evaluations += sys.num_networks
-        ind = Individual(chromosome=ch, fitness=fit, details=det)
-        if det.feasible and (
-            best_feasible is None or det.pinned_count < best_feasible.details.pinned_count
-        ):
-            best_feasible = ind
-        return ind
+        lmi_evaluations += len(chromosomes) * sys.num_networks
+        individuals = []
+        for ch, (fit, det) in zip(chromosomes, _score(chromosomes, sys, tests, lam)):
+            ind = Individual(chromosome=ch, fitness=fit, details=det)
+            if det.feasible and (
+                best_feasible is None or det.pinned_count < best_feasible.details.pinned_count
+            ):
+                best_feasible = ind
+            individuals.append(ind)
+        return individuals
 
     def lam_at(gen: int) -> float:
         if not cfg.adaptive_penalty or cfg.generations == 0:
             return cfg.penalty_coeff
         return cfg.penalty_coeff * (1.0 + gen / cfg.generations)
 
-    population = [evaluate(ch, lam_at(0)) for ch in init_population(cfg, sys, rng)]
+    population = evaluate(init_population(cfg, sys, rng), lam_at(0))
     population.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
 
     def gains(ind: Individual) -> tuple[Optional[float], ...]:
@@ -371,9 +400,7 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
             )
             offspring.append(mutate(c1, cfg.mutation_prob, rng))
             offspring.append(mutate(c2, cfg.mutation_prob, rng))
-        offspring = offspring[: cfg.population_size]
-
-        evaluated = [evaluate(ch, lam) for ch in offspring]
+        evaluated = evaluate(offspring[: cfg.population_size], lam)
         if cfg.adaptive_penalty:
             population = [replace(i, fitness=i.details.score(lam)) for i in population]
         combined = population + evaluated

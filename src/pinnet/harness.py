@@ -224,13 +224,18 @@ def run_scenario(
     """Build the system, run the GA, simulate the best plan, emit artifacts.
 
     A GA that ends without a feasible chromosome is reported as an infeasible
-    outcome with the simulation skipped, not an error.
+    outcome with the simulation skipped, not an error.  ``summary.json`` gets
+    the seconds of each layer under ``timings``: ``build_s``, ``search_s``
+    (the GA and its reported gains), ``simulate_s`` and ``export_s`` (the
+    CSV files); writing ``summary.json`` itself is outside all four.
     """
     started = time.perf_counter()
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
     sys = build_system(sc, trial_index)
+    built = time.perf_counter()
     ga_cfg = replace(sc.ga, rng_seed=seeds["ga"])
     report = evolve(ga_cfg, sys)
+    searched = time.perf_counter()
     chosen = report.best_feasible if report.best_feasible is not None else report.best
     gains = report.feasible_gains if report.best_feasible is not None else report.best_gains
     det = chosen.details
@@ -244,6 +249,7 @@ def run_scenario(
         traj = simulate_multi(sys, plan, x0, sc.sim)
         conv = convergence_time(traj, sc.sim.convergence_tol)
         terminal = traj.terminal_max_error
+    simulated = time.perf_counter()
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -252,6 +258,7 @@ def run_scenario(
         if traj is not None:
             export_trajectory_csv(traj, out / "trajectory.csv")
             export_errors_csv(traj, out / "errors.csv")
+    exported = time.perf_counter()
 
     log_term = float(np.log10(terminal)) if terminal > 0.0 else float("nan")
     outcome = TrialOutcome(
@@ -267,7 +274,13 @@ def run_scenario(
     )
 
     if out_dir is not None:
-        summary = {"outcome": outcome.to_dict(), "ga": report.to_dict()}
+        timings = {
+            "build_s": built - started,
+            "search_s": searched - built,
+            "simulate_s": simulated - searched,
+            "export_s": exported - simulated,
+        }
+        summary = {"outcome": outcome.to_dict(), "ga": report.to_dict(), "timings": timings}
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

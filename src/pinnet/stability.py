@@ -18,9 +18,11 @@ sqrt(sum_i max(0, delta - q*lambda_i)^2) at c = c_max; xi is zero exactly on
 feasible sets, which is what makes it usable as a search penalty.
 
 The search tests many pin sets of one network at one gain through a
-``CertificateTest``: it forms 2*C*gamma*L_s once, settles a set as feasible
-when M - (delta/q + tol)*I has a Cholesky factor, and eigensolves only the
-sets that test rejects, which need the spectrum for xi anyway.
+``CertificateTest``: it forms 2*C*gamma*L_s once, takes a whole generation's
+pin sets as one (B, n) matrix and tests each in one reusable n x n buffer,
+settles a set as feasible when M - (delta/q + tol)*I has a Cholesky factor,
+and eigensolves only the sets that test rejects, which need the spectrum for
+xi anyway.
 """
 
 from __future__ import annotations
@@ -138,12 +140,16 @@ def violation_norm(m: np.ndarray, delta: float, q: float = 1.0) -> float:
     Zero exactly when q*M >= delta*I; otherwise sqrt of the summed squared
     eigenvalue shortfalls.
     """
-    return _shortfall_norm(np.linalg.eigvalsh(_check_symmetric(m)), delta, q)
+    return float(_shortfall_norm(np.linalg.eigvalsh(_check_symmetric(m)), delta, q))
 
 
-def _shortfall_norm(lam: np.ndarray, delta: float, q: float) -> float:
+def _shortfall_norm(lam: np.ndarray, delta: float, q: float) -> np.ndarray:
+    """xi of a spectrum, or of each row of a stack of spectra.
+
+    It is 0 exactly when no eigenvalue falls below delta/q, i.e. margin >= 0.
+    """
     short = np.clip(delta - q * lam, 0.0, None)
-    return float(np.sqrt(np.sum(short * short)))
+    return np.sqrt(np.sum(short * short, axis=-1))
 
 
 def _result_at(lam: np.ndarray, gain: float, params: StabilityParams) -> FeasibilityResult:
@@ -151,7 +157,7 @@ def _result_at(lam: np.ndarray, gain: float, params: StabilityParams) -> Feasibi
     margin = params.q * float(lam[0]) - params.delta
     if margin >= 0.0:
         return FeasibilityResult(feasible=True, gain=float(gain), margin=margin, xi=0.0)
-    xi = _shortfall_norm(lam, params.delta, params.q)
+    xi = float(_shortfall_norm(lam, params.delta, params.q))
     return FeasibilityResult(feasible=False, gain=None, margin=margin, xi=xi)
 
 
@@ -171,10 +177,13 @@ def check_gain(
 class CertificateTest:
     """One network's certificate at one gain, for many pin sets.
 
-    2*C*gamma*L_s is formed and checked once.  A pin set is feasible, with
-    xi = 0 and no spectrum, when M - (delta/q + tol)*I has a Cholesky factor;
-    every other set is eigensolved, which gives ``check_gain``'s verdict and
-    xi.  ``eigensolves`` counts those fall-throughs.
+    2*C*gamma*L_s is formed and checked once, with the two values each
+    diagonal entry of M (and of M - shift*I) can take: unpinned and pinned.
+    ``xis`` tests a (B, n) matrix of pin sets in one reusable n x n buffer that
+    holds the off-diagonal part: a row is feasible, with xi = 0 and no
+    spectrum, when M - (delta/q + tol)*I has a Cholesky factor; every other
+    row is eigensolved, which gives ``check_gain``'s verdict and xi.
+    ``eigensolves`` counts those fall-throughs.
 
     A floating-point Cholesky factor of M - s*I proves M >= s*I only up to a
     rounding term that grows like (n+1)*eps times the size of M (Rump,
@@ -195,25 +204,52 @@ class CertificateTest:
         gain: float,
         params: StabilityParams,
     ):
-        self._base = _coupling_term(l_sym, coupling, gamma)
+        base = _coupling_term(l_sym, coupling, gamma)
         if gain < 0.0:
             raise ValueError("gain must be >= 0")
-        n = len(self._base)
-        norm_bound = float(np.linalg.norm(self._base)) + 2.0 * gamma * gain * n**0.5
-        self._shift = params.delta / params.q + (n + 1) * _EPS * norm_bound
-        self._gamma = gamma
-        self._gain = gain
+        n = len(base)
+        norm_bound = float(np.linalg.norm(base)) + 2.0 * gamma * gain * n**0.5
+        shift = params.delta / params.q + (n + 1) * _EPS * norm_bound
+        # Row 0 unpinned, row 1 pinned; the same bits as _with_pins and
+        # _positive_definite give.
+        lift = gain * (2.0 * gamma * np.array([[0.0], [1.0]]))
+        self._m_diag = np.diagonal(base) + lift
+        self._shifted_diag = self._m_diag - shift
+        # numpy's LAPACK wrappers copy their argument, so only the diagonal
+        # of the buffer changes from one row to the next.
+        self._buffer = np.ascontiguousarray(base)
+        self._diagonal = self._buffer.reshape(-1)[:: n + 1]
         self._params = params
         self.eigensolves = 0
 
     def xi(self, d_hat: np.ndarray) -> float:
         """The pin set's violation at the gain; zero exactly when it certifies."""
-        pins = _as_pin_vector(d_hat, len(self._base))
-        m = _with_pins(self._base, pins, self._gain, self._gamma)
-        if _positive_definite(m, self._shift):
-            return 0.0
-        self.eigensolves += 1
-        return _result_at(np.linalg.eigvalsh(m), self._gain, self._params).xi
+        return float(self.xis(_as_pin_vector(d_hat, len(self._buffer))[np.newaxis])[0])
+
+    def xis(self, pins: np.ndarray) -> np.ndarray:
+        """Each row's violation at the gain, for a (B, n) 0/1 matrix of pin sets."""
+        pins = np.asarray(pins)
+        n = len(self._buffer)
+        if pins.ndim != 2 or pins.shape[1] != n:
+            raise ValueError(f"pin rows shape {pins.shape} does not match n={n}")
+        pinned = pins == 1
+        if not np.all(pinned | (pins == 0)):
+            raise ValueError("pin indicators must be 0 or 1")
+        shifted = np.where(pinned, self._shifted_diag[1], self._shifted_diag[0])
+        failed, spectra = [], []
+        for row, diagonal in enumerate(shifted):
+            self._diagonal[:] = diagonal
+            try:
+                np.linalg.cholesky(self._buffer)
+            except np.linalg.LinAlgError:
+                self._diagonal[:] = np.where(pinned[row], self._m_diag[1], self._m_diag[0])
+                failed.append(row)
+                spectra.append(np.linalg.eigvalsh(self._buffer))
+        xi = np.zeros(len(pins))
+        if failed:
+            self.eigensolves += len(failed)
+            xi[failed] = _shortfall_norm(np.array(spectra), self._params.delta, self._params.q)
+        return xi
 
 
 def solve_min_gain(

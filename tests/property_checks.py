@@ -334,6 +334,58 @@ def check_search_verdict_matches_solve(n_cases: int) -> None:
     assert seen[True] > 0 and seen[False] > 0
 
 
+def check_generation_verdicts_match_check_gain(n_cases: int) -> None:
+    """A batch of pin sets tested in one call gives each row check_gain's result.
+
+    The cases come from ``_gain_case``; each batch holds the case's pin set,
+    no pins, every pin and up to four random sets of its graph.  It is tested
+    at c_max and, when the case's set certifies, at its solved gain and two
+    ulps either side of it, where the Cholesky test falls through and the
+    eigensolve decides.  Where lambda_min at c_max is positive, the batch is
+    also tested with delta one and two ulps above q * lambda_min, where only
+    the tolerance keeps the Cholesky test from passing a set the eigensolve
+    rejects, and one ulp below it.  For every row, ``CertificateTest.xis``
+    must give ``check_gain``'s verdict and xi to the bit, and its eigensolve
+    count must equal that of testing the rows one at a time with ``xi``.
+    """
+    rng = np.random.default_rng(1014)
+    eps = float(np.finfo(np.float64).eps)
+    seen = {True: 0, False: 0}
+    for i in range(n_cases):
+        g, coupling, gamma, pins, params = _gain_case(rng, i)
+        n = g.shape[0]
+        l_sym = laplacian(g).symmetric_part
+        extra = rng.random((int(rng.integers(0, 5)), n)) < 0.5
+        batch = np.vstack([pins, np.zeros(n), np.ones(n), extra]).astype(np.uint8)
+        gains = [params.c_max]
+        solved = solve_min_gain(l_sym, pins, coupling, gamma, params)
+        if solved.feasible:
+            gains.append(solved.gain)
+            for direction in (np.inf, -np.inf):
+                gain = solved.gain
+                for _ in range(2):
+                    gain = float(np.nextafter(gain, direction))
+                    gains.append(gain)
+        tests = [(gain, params) for gain in gains if gain >= 0.0]
+        m_top = stability_matrix(l_sym, pins, coupling, params.c_max, gamma)
+        top = params.q * float(np.linalg.eigvalsh(m_top)[0])
+        if top > 1e-3:
+            for ulps in (1.0, 2.0, -1.0):
+                tests.append((params.c_max, replace(params, delta=top * (1.0 + ulps * eps))))
+        for gain, params in tests:
+            batched = CertificateTest(l_sym, coupling, gamma, gain, params)
+            single = CertificateTest(l_sym, coupling, gamma, gain, params)
+            xis = batched.xis(batch)
+            for row, xi in zip(batch, xis):
+                exact = check_gain(l_sym, row, coupling, gamma, gain, params)
+                case = (i, n, row.tolist(), gain, params)
+                assert (xi == 0.0) == exact.feasible, case
+                assert xi == exact.xi == single.xi(row), case
+                seen[exact.feasible] += 1
+            assert batched.eigensolves == single.eigensolves, (i, n, gain, params)
+    assert seen[True] > 0 and seen[False] > 0
+
+
 def _certified_single_case(rng, n_lo=2, n_hi=5):
     """A network with pins and a solved gain whose certificate holds."""
     g = _random_graph(rng, n_lo, n_hi)
@@ -526,6 +578,7 @@ ALL_CHECKS = (
     ("xi zero iff feasible", check_xi_zero_iff_feasible),
     ("exact gain matches bisection", check_exact_gain_matches_bisection),
     ("search verdict at c_max matches the minimal-gain solve", check_search_verdict_matches_solve),
+    ("generation verdicts match check_gain", check_generation_verdicts_match_check_gain),
     ("Lyapunov descent on certified runs", check_lyapunov_descent_on_certified_runs),
     ("error superposition scaling", check_error_trajectory_superposition),
     ("rk4 step-halving ratio ~16", check_rk4_step_halving_fourth_order),

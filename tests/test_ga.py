@@ -1,6 +1,7 @@
 """Genetic operators, fitness semantics and the evolution loop."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pinnet.ga import (
     mutate,
     tournament_select,
 )
+from pinnet.harness import build_system, builtin_scenario
 from pinnet.network import (
     build_multinetwork,
     generate_adjacency,
@@ -133,6 +135,16 @@ class TestFitness:
         sys = small_system()
         with pytest.raises(ValueError):
             fitness(Chromosome(genes=(np.ones(4, dtype=np.uint8),)), sys, GaConfig())
+
+    def test_gene_arrays_must_match_the_networks(self):
+        sys = build_system(builtin_scenario("multi-50"))
+        cfg = GaConfig()
+        whole = tuple(np.ones(net.n, dtype=np.uint8) for net in sys.networks)
+        assert fitness(Chromosome(genes=whole), sys, cfg)[1].pinned_count == sys.total_nodes
+        clipped = whole[:2] + (whole[2][:-1],)  # 35/25/24 genes for 35/25/25 nodes
+        for genes in (whole[:1], whole[:2], whole + whole[:1], clipped):
+            with pytest.raises(ValueError):
+                fitness(Chromosome(genes=genes), sys, cfg)
 
     def test_gene_outside_zero_one_rejected(self):
         sys = small_system()
@@ -312,8 +324,13 @@ class TestEvolve:
 
     def test_adaptive_penalty_runs(self, monkeypatch):
         tests, solves, parents = [], [], []
-        verdict, solve, select = CertificateTest.xi, ga.solve_min_gain, ga.tournament_select
-        monkeypatch.setattr(CertificateTest, "xi", lambda *a: tests.append(a) or verdict(*a))
+        verdicts, solve, select = CertificateTest.xis, ga.solve_min_gain, ga.tournament_select
+
+        def spy_verdicts(test, pins):
+            tests.extend(pins)
+            return verdicts(test, pins)
+
+        monkeypatch.setattr(CertificateTest, "xis", spy_verdicts)
         monkeypatch.setattr(ga, "solve_min_gain", lambda *a: solves.append(a) or solve(*a))
 
         def spy_select(population, k, rng):
@@ -340,6 +357,32 @@ class TestEvolve:
         assert report.best.fitness == report.best.details.score(2.0 * cfg.penalty_coeff)
         assert report.best_fitness[-1] == report.best.fitness
 
+    def test_chromosomes_that_miss_a_network_are_rejected(self, monkeypatch):
+        sys = overlap_system(seed=3)
+        draw = ga.init_population
+
+        def short(cfg, sys, rng):
+            return [Chromosome(genes=ch.genes[:1]) for ch in draw(cfg, sys, rng)]
+
+        monkeypatch.setattr(ga, "init_population", short)
+        with pytest.raises(ValueError, match="one gene array per network"):
+            evolve(self._cfg(), sys)
+
+    def test_seeded_multi50_reports_match_the_recording(self):
+        # Recorded before generations were scored in one call per network and
+        # bred from one draw per chromosome: the random stream, the verdicts
+        # and the fitness values must not move.
+        sc = builtin_scenario("multi-50")
+        sys = build_system(sc)
+        cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7)
+        variants = {
+            "uniform": cfg,
+            "one_point": replace(cfg, crossover_op="one_point"),
+            "adaptive_penalty": replace(cfg, adaptive_penalty=True),
+        }
+        for name, variant in variants.items():
+            assert evolve(variant, sys).to_dict() == RECORDED_MULTI50[name], name
+
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_every_bred_chromosome_is_solved(self, adaptive):
         sys = overlap_system(seed=2)
@@ -364,3 +407,103 @@ class TestEvolve:
             GaConfig(fixed_gain=0.0)
         with pytest.raises(ValueError):
             GaConfig(crossover_op="two_point")
+
+
+# evolve(...).to_dict() for built-in multi-50 (trial 0), population 20, 5 generations, seed 7.
+RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
+                                         'best_fitness_series': [22.0,
+                                                                 20.0,
+                                                                 20.0,
+                                                                 19.0,
+                                                                 19.0,
+                                                                 19.0],
+                                         'best_gains': [23.542543984422654,
+                                                        31.40094756477618,
+                                                        20.35808725790079],
+                                         'best_genes': ['00100010001011001001010000000000101',
+                                                        '1010000000001001001001011',
+                                                        '0001001101011001100000000'],
+                                         'best_is_feasible': True,
+                                         'best_pinned_count': 19,
+                                         'best_pinned_count_series': [22, 20, 20, 19, 19, 19],
+                                         'best_xi': 0.0,
+                                         'eigensolves': 54,
+                                         'feasible_best': {'gains': [23.542543984422654,
+                                                                     31.40094756477618,
+                                                                     20.35808725790079],
+                                                           'genes': ['00100010001011001001010000000000101',
+                                                                     '1010000000001001001001011',
+                                                                     '0001001101011001100000000'],
+                                                           'pinned_count': 19},
+                                         'feasible_fraction_series': [0.25,
+                                                                      0.7,
+                                                                      0.95,
+                                                                      0.95,
+                                                                      1.0,
+                                                                      1.0],
+                                         'generations': [0, 1, 2, 3, 4, 5],
+                                         'lmi_evaluations': 360,
+                                         'mean_fitness_series': [52.47163228731033,
+                                                                 26.634713791188197,
+                                                                 24.51499787462016,
+                                                                 22.696309501427244,
+                                                                 22.05,
+                                                                 21.65]},
+                    'one_point': {'best_fitness': 21.0,
+                                  'best_fitness_series': [22.0, 22.0, 22.0, 22.0, 21.0, 21.0],
+                                  'best_gains': [23.26710093192958,
+                                                 28.36395043137417,
+                                                 25.441875912865125],
+                                  'best_genes': ['00010000000110001000110110000001110',
+                                                 '1010110000010000010110000',
+                                                 '0001000101101001011000000'],
+                                  'best_is_feasible': True,
+                                  'best_pinned_count': 21,
+                                  'best_pinned_count_series': [22, 22, 22, 22, 21, 21],
+                                  'best_xi': 0.0,
+                                  'eigensolves': 29,
+                                  'feasible_best': {'gains': [23.26710093192958,
+                                                              28.36395043137417,
+                                                              25.441875912865125],
+                                                    'genes': ['00010000000110001000110110000001110',
+                                                              '1010110000010000010110000',
+                                                              '0001000101101001011000000'],
+                                                    'pinned_count': 21},
+                                  'feasible_fraction_series': [0.25, 0.8, 0.95, 1.0, 1.0, 1.0],
+                                  'generations': [0, 1, 2, 3, 4, 5],
+                                  'lmi_evaluations': 360,
+                                  'mean_fitness_series': [52.47163228731033,
+                                                          25.458861311465935,
+                                                          23.72065000010531,
+                                                          22.9,
+                                                          22.5,
+                                                          22.25]},
+                    'uniform': {'best_fitness': 19.0,
+                                'best_fitness_series': [22.0, 20.0, 20.0, 19.0, 19.0, 19.0],
+                                'best_gains': [35.737745534816256,
+                                               29.206566338650216,
+                                               17.065497730376777],
+                                'best_genes': ['01000110000000100000000100000010010',
+                                               '0110010101000010000000010',
+                                               '0000010101010000010111010'],
+                                'best_is_feasible': True,
+                                'best_pinned_count': 19,
+                                'best_pinned_count_series': [22, 20, 20, 19, 19, 19],
+                                'best_xi': 0.0,
+                                'eigensolves': 51,
+                                'feasible_best': {'gains': [35.737745534816256,
+                                                            29.206566338650216,
+                                                            17.065497730376777],
+                                                  'genes': ['01000110000000100000000100000010010',
+                                                            '0110010101000010000000010',
+                                                            '0000010101010000010111010'],
+                                                  'pinned_count': 19},
+                                'feasible_fraction_series': [0.25, 0.7, 0.9, 0.9, 0.95, 1.0],
+                                'generations': [0, 1, 2, 3, 4, 5],
+                                'lmi_evaluations': 360,
+                                'mean_fitness_series': [52.47163228731033,
+                                                        26.220594825990162,
+                                                        23.517077053405423,
+                                                        22.446574079863204,
+                                                        21.696427053300116,
+                                                        20.8]}}

@@ -138,6 +138,19 @@ class TestRunScenario:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["outcome"]["wall_clock_s"] == out.wall_clock_s
 
+    def test_layer_timings_sum_within_wall_clock(self, tmp_path, monkeypatch):
+        def slow_export(traj, path):
+            time.sleep(0.2)
+            export_errors_csv(traj, path)
+
+        monkeypatch.setattr("pinnet.harness.export_errors_csv", slow_export)
+        out = run_scenario(tiny_multi(), out_dir=tmp_path)
+        timings = json.loads((tmp_path / "summary.json").read_text())["timings"]
+        assert set(timings) == {"build_s", "search_s", "simulate_s", "export_s"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert timings["export_s"] >= 0.2
+        assert sum(timings.values()) <= out.wall_clock_s
+
     def test_infeasible_is_outcome_not_error(self, tmp_path):
         # no edges and a gain cap below delta/2: nothing can certify
         sc = tiny_single()
