@@ -9,8 +9,11 @@ population is pulled toward certifiable sets while minimizing their size.
 
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
-offspring.  Everything is deterministic for a fixed seed.  Every chromosome
-bred gets one certificate test per network, with no store of past
+offspring.  Everything is deterministic for a fixed seed.  A chromosome gets
+one certificate test per network unless its pinned count alone proves that it
+can neither survive truncation nor become the best feasible find: fitness is
+at least the pinned count, so such a child is dropped untested, which changes
+no population, series or reported plan.  There is no store of past
 evaluations; beyond the current population, the run keeps only the best
 feasible individual it has seen.  Only the reported chromosomes get gains.
 
@@ -127,22 +130,54 @@ def _score(
     sys: MultiNetworkSystem,
     tests: Sequence[CertificateTest],
     lam: float,
+    counts: Optional[Sequence[int]] = None,
 ) -> list[tuple[float, FitnessDetails]]:
     """Fitness and details of each chromosome, with one certificate call per network.
 
-    xi is the sum of the networks' violations, in network order; the pinned
-    count ORs each network's pins into one (B, N) array of global nodes.
+    xi is the sum of the networks' violations, in network order.  ``counts``
+    are the chromosomes' distinct pinned counts when the caller already has
+    them (from ``_pinned_counts``).
     """
+    if not chromosomes:
+        return []
+    rows = _gene_rows(chromosomes, sys)
+    if counts is None:
+        counts = _pinned_counts(rows, sys)
     xi = np.zeros(len(chromosomes))
-    pinned = np.zeros((len(chromosomes), sys.total_nodes), dtype=bool)
-    for net, test, genes in zip(sys.networks, tests, _gene_rows(chromosomes, sys)):
+    for test, genes in zip(tests, rows):
         xi += test.xis(genes)
-        pinned[:, net.node_ids] |= genes == 1
     scored = []
-    for x, count in zip(xi.tolist(), pinned.sum(axis=1).tolist()):
+    for x, count in zip(xi.tolist(), counts):
         details = FitnessDetails(pinned_count=count, xi=x, feasible=x == 0.0)
         scored.append((details.score(lam), details))
     return scored
+
+
+def _pinned_counts(rows: Sequence[np.ndarray], sys: MultiNetworkSystem) -> list[int]:
+    """Distinct pinned nodes per chromosome: each network's (B, n) genes ORed into (B, N)."""
+    pinned = np.zeros((len(rows[0]), sys.total_nodes), dtype=bool)
+    for net, genes in zip(sys.networks, rows):
+        pinned[:, net.node_ids] |= genes == 1
+    return pinned.sum(axis=1).tolist()
+
+
+def _cannot_matter(
+    counts: Sequence[int],
+    population: Sequence[Individual],
+    best_feasible: Optional[Individual],
+) -> list[bool]:
+    """Which offspring, by pinned count c alone, can change nothing in the run.
+
+    Fitness is at least c (lambda >= 0, xi >= 0), so a child with (c, c) at or
+    above every parent's (fitness, pinned count) sorts after all parents in
+    the stable truncation sort, and with c at or above the best feasible
+    count it cannot replace that find either (its rule is a strict <).
+    """
+    if best_feasible is None:
+        return [False] * len(counts)
+    worst = max((p.fitness, p.details.pinned_count) for p in population)
+    cut = best_feasible.details.pinned_count
+    return [c >= cut and (c, c) >= worst for c in counts]
 
 
 def _gene_rows(chromosomes: Sequence[Chromosome], sys: MultiNetworkSystem) -> list[np.ndarray]:
@@ -269,8 +304,10 @@ class GaReport:
     ``best_gains`` and ``feasible_gains`` are their per-network gains, solved
     after the last generation (None where a network does not certify).  The
     series include the initial population as generation 0, so their length is
-    generations + 1.  ``lmi_evaluations`` counts the certificate tests, one per
-    network for each chromosome bred: population_size * (generations + 1)
+    generations + 1.  ``pruned`` counts the offspring dropped untested because
+    their pinned count proved they could change nothing.  ``lmi_evaluations``
+    counts the certificate tests run, one per network for every other
+    chromosome bred: (population_size * (generations + 1) - pruned)
     * num_networks.  ``eigensolves`` counts those the Cholesky test did not
     settle, which fell through to an eigensolve.
     """
@@ -286,6 +323,7 @@ class GaReport:
     feasible_fraction: np.ndarray
     lmi_evaluations: int
     eigensolves: int
+    pruned: int
 
     def best_plan(self, sys: MultiNetworkSystem) -> PinningPlan:
         """Pins and solved gains of the best feasible chromosome."""
@@ -310,6 +348,7 @@ class GaReport:
             "feasible_fraction_series": self.feasible_fraction.tolist(),
             "lmi_evaluations": self.lmi_evaluations,
             "eigensolves": self.eigensolves,
+            "pruned": self.pruned,
         }
         if self.best_feasible is None:
             d["feasible_best"] = None
@@ -347,17 +386,23 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     parents and offspring combined.  With adaptive_penalty the coefficient
     grows linearly to twice its base value over the run, and the kept parents
     are re-scored at each generation's coefficient without a new solve.
+    Offspring that ``_cannot_matter`` against the re-scored parents are
+    dropped before their certificate tests.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     tests = _certificate_tests(sys, cfg)
     best_feasible: Optional[Individual] = None
     lmi_evaluations = 0
+    pruned = 0
 
-    def evaluate(chromosomes: list[Chromosome], lam: float) -> list[Individual]:
+    def evaluate(
+        chromosomes: list[Chromosome], lam: float, counts: Optional[list[int]] = None
+    ) -> list[Individual]:
         nonlocal best_feasible, lmi_evaluations
         lmi_evaluations += len(chromosomes) * sys.num_networks
         individuals = []
-        for ch, (fit, det) in zip(chromosomes, _score(chromosomes, sys, tests, lam)):
+        scored = _score(chromosomes, sys, tests, lam, counts)
+        for ch, (fit, det) in zip(chromosomes, scored):
             ind = Individual(chromosome=ch, fitness=fit, details=det)
             if det.feasible and (
                 best_feasible is None or det.pinned_count < best_feasible.details.pinned_count
@@ -400,9 +445,14 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
             )
             offspring.append(mutate(c1, cfg.mutation_prob, rng))
             offspring.append(mutate(c2, cfg.mutation_prob, rng))
-        evaluated = evaluate(offspring[: cfg.population_size], lam)
+        offspring = offspring[: cfg.population_size]
         if cfg.adaptive_penalty:
             population = [replace(i, fitness=i.details.score(lam)) for i in population]
+        counts = _pinned_counts(_gene_rows(offspring, sys), sys)
+        drop = _cannot_matter(counts, population, best_feasible)
+        kept = [k for k, d in enumerate(drop) if not d]
+        pruned += len(offspring) - len(kept)
+        evaluated = evaluate([offspring[k] for k in kept], lam, [counts[k] for k in kept])
         combined = population + evaluated
         combined.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
         population = combined[: cfg.population_size]
@@ -420,4 +470,5 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
         feasible_fraction=np.array(stats["feasible"]),
         lmi_evaluations=lmi_evaluations,
         eigensolves=sum(test.eigensolves for test in tests),
+        pruned=pruned,
     )

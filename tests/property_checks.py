@@ -15,6 +15,7 @@ from pinnet.dynamics import (
     SimulationConfig,
     simulate_single,
 )
+from pinnet import ga
 from pinnet.ga import Chromosome, GaConfig, evolve, fitness
 from pinnet.network import (
     DirectedNetwork,
@@ -571,6 +572,58 @@ def check_seeded_runs_identical(n_cases: int) -> None:
         assert evolve(cfg, sys).to_dict() == evolve(cfg, sys).to_dict()
 
 
+def check_pruned_search_matches_full_search(n_cases: int) -> None:
+    """Dropping offspring that cannot matter leaves the whole report as it was.
+
+    Each case runs ``evolve`` as it is and again with ``ga._cannot_matter``
+    replaced by a rule that prunes nothing, on a random single network or a
+    random overlap system, with either crossover op, ``adaptive_penalty`` on or
+    off, a fixed gain or the solved-gain search, delta in [0.1, 1] and a
+    penalty coefficient that may be 0.  Where anything was pruned, every
+    ``to_dict()`` field but the work counters must be equal; every run must
+    test each unpruned chromosome once per network.
+    """
+    rng = np.random.default_rng(1015)
+    rule = ga._cannot_matter
+    counters = ("lmi_evaluations", "eigensolves", "pruned")
+    pruned_cases = 0
+    for i in range(n_cases):
+        if rng.random() < 0.5:
+            sys = single_network_system(make_network(_random_graph(rng, 3, 8), 0.8, 1.0, 1.0))
+        else:
+            sys = _random_overlap_system(rng)
+        c_max = float(rng.uniform(2.0, 20.0))
+        cfg = GaConfig(
+            population_size=int(rng.integers(2, 9)),
+            generations=int(rng.integers(1, 9)),
+            penalty_coeff=float(rng.choice([0.0, 0.1, 1.0, 10.0])),
+            rng_seed=int(rng.integers(0, 2**31)),
+            stability=StabilityParams(delta=float(rng.uniform(0.1, 1.0)), c_max=c_max),
+            crossover_op=str(rng.choice(["uniform", "one_point"])),
+            adaptive_penalty=bool(rng.random() < 0.5),
+            fixed_gain=float(rng.uniform(0.5, c_max)) if rng.random() < 0.5 else None,
+        )
+        pruned = evolve(cfg, sys)
+        bred = cfg.population_size * (cfg.generations + 1)
+        assert pruned.lmi_evaluations == (bred - pruned.pruned) * sys.num_networks, (i, cfg)
+        if pruned.pruned == 0:
+            continue  # the rule dropped nothing, so the run took the full search's path
+        pruned_cases += 1
+        ga._cannot_matter = lambda counts, population, best_feasible: [False] * len(counts)
+        try:
+            full = evolve(cfg, sys)
+        finally:
+            ga._cannot_matter = rule
+        a, b = pruned.to_dict(), full.to_dict()
+        case = (i, cfg, {k: (a[k], b[k]) for k in counters})
+        assert full.pruned == 0, case
+        assert {k: v for k, v in a.items() if k not in counters} == {
+            k: v for k, v in b.items() if k not in counters
+        }, case
+        assert pruned.eigensolves <= full.eigensolves, case
+    assert pruned_cases >= n_cases // 4, pruned_cases
+
+
 ALL_CHECKS = (
     ("laplacian row sums zero", check_laplacian_row_sums),
     ("eigenvalue monotone in gain and pins", check_eigmin_monotone_in_gain_and_pins),
@@ -586,4 +639,5 @@ ALL_CHECKS = (
     ("elitist best-fitness monotone", check_elitist_best_fitness_monotone),
     ("overlap nodes counted once", check_overlap_nodes_counted_once),
     ("seeded reruns identical", check_seeded_runs_identical),
+    ("pruned search matches the full search", check_pruned_search_matches_full_search),
 )

@@ -146,6 +146,12 @@ class TestFitness:
             with pytest.raises(ValueError):
                 fitness(Chromosome(genes=genes), sys, cfg)
 
+    def test_no_chromosomes_score_without_a_certificate_call(self, monkeypatch):
+        sys = overlap_system(seed=1)
+        tests = ga._certificate_tests(sys, GaConfig())
+        monkeypatch.setattr(CertificateTest, "xis", lambda *a: pytest.fail("xis called"))
+        assert ga._score([], sys, tests, 10.0) == []
+
     def test_gene_outside_zero_one_rejected(self):
         sys = small_system()
         genes = np.ones(6, dtype=np.uint8)
@@ -371,7 +377,9 @@ class TestEvolve:
     def test_seeded_multi50_reports_match_the_recording(self):
         # Recorded before generations were scored in one call per network and
         # bred from one draw per chromosome: the random stream, the verdicts
-        # and the fitness values must not move.
+        # and the fitness values must not move.  Only the work counters
+        # (lmi_evaluations, eigensolves, pruned) were re-recorded when
+        # offspring that cannot matter stopped being tested.
         sc = builtin_scenario("multi-50")
         sys = build_system(sc)
         cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7)
@@ -384,12 +392,24 @@ class TestEvolve:
             assert evolve(variant, sys).to_dict() == RECORDED_MULTI50[name], name
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_every_bred_chromosome_is_solved(self, adaptive):
+    def test_one_certificate_test_per_network_for_each_unpruned_chromosome(
+        self, adaptive, monkeypatch
+    ):
+        rows = []
+        verdicts = CertificateTest.xis
+
+        def spy_verdicts(test, pins):
+            rows.extend(pins)
+            return verdicts(test, pins)
+
+        monkeypatch.setattr(CertificateTest, "xis", spy_verdicts)
         sys = overlap_system(seed=2)
-        cfg = self._cfg(adaptive_penalty=adaptive, generations=5)
+        cfg = self._cfg(adaptive_penalty=adaptive)
         report = evolve(cfg, sys)
-        expected = cfg.population_size * (cfg.generations + 1) * sys.num_networks
-        assert report.lmi_evaluations == expected
+        bred = cfg.population_size * (cfg.generations + 1)
+        assert 0 < report.pruned < bred
+        assert len(rows) == report.lmi_evaluations
+        assert report.lmi_evaluations == (bred - report.pruned) * sys.num_networks
 
     def test_fixed_gain_mode_certifies_at_that_gain(self):
         sys = small_system(n=5, seed=2, threshold=0.5)
@@ -427,7 +447,7 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
                                          'best_pinned_count': 19,
                                          'best_pinned_count_series': [22, 20, 20, 19, 19, 19],
                                          'best_xi': 0.0,
-                                         'eigensolves': 54,
+                                         'eigensolves': 52,
                                          'feasible_best': {'gains': [23.542543984422654,
                                                                      31.40094756477618,
                                                                      20.35808725790079],
@@ -442,13 +462,14 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
                                                                       1.0,
                                                                       1.0],
                                          'generations': [0, 1, 2, 3, 4, 5],
-                                         'lmi_evaluations': 360,
+                                         'lmi_evaluations': 291,
                                          'mean_fitness_series': [52.47163228731033,
                                                                  26.634713791188197,
                                                                  24.51499787462016,
                                                                  22.696309501427244,
                                                                  22.05,
-                                                                 21.65]},
+                                                                 21.65],
+                                         'pruned': 23},
                     'one_point': {'best_fitness': 21.0,
                                   'best_fitness_series': [22.0, 22.0, 22.0, 22.0, 21.0, 21.0],
                                   'best_gains': [23.26710093192958,
@@ -471,13 +492,14 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
                                                     'pinned_count': 21},
                                   'feasible_fraction_series': [0.25, 0.8, 0.95, 1.0, 1.0, 1.0],
                                   'generations': [0, 1, 2, 3, 4, 5],
-                                  'lmi_evaluations': 360,
+                                  'lmi_evaluations': 243,
                                   'mean_fitness_series': [52.47163228731033,
                                                           25.458861311465935,
                                                           23.72065000010531,
                                                           22.9,
                                                           22.5,
-                                                          22.25]},
+                                                          22.25],
+                                  'pruned': 39},
                     'uniform': {'best_fitness': 19.0,
                                 'best_fitness_series': [22.0, 20.0, 20.0, 19.0, 19.0, 19.0],
                                 'best_gains': [35.737745534816256,
@@ -490,7 +512,7 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
                                 'best_pinned_count': 19,
                                 'best_pinned_count_series': [22, 20, 20, 19, 19, 19],
                                 'best_xi': 0.0,
-                                'eigensolves': 51,
+                                'eigensolves': 48,
                                 'feasible_best': {'gains': [35.737745534816256,
                                                             29.206566338650216,
                                                             17.065497730376777],
@@ -500,10 +522,11 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
                                                   'pinned_count': 19},
                                 'feasible_fraction_series': [0.25, 0.7, 0.9, 0.9, 0.95, 1.0],
                                 'generations': [0, 1, 2, 3, 4, 5],
-                                'lmi_evaluations': 360,
+                                'lmi_evaluations': 297,
                                 'mean_fitness_series': [52.47163228731033,
                                                         26.220594825990162,
                                                         23.517077053405423,
                                                         22.446574079863204,
                                                         21.696427053300116,
-                                                        20.8]}}
+                                                        20.8],
+                                'pruned': 21}}
