@@ -48,7 +48,6 @@ from .dynamics import (
     simulate_single,
 )
 from .ga import (
-    Chromosome,
     GaConfig,
     GaReport,
     crossover,

@@ -1,32 +1,37 @@
 """Genetic search over binary pinning sets with a stability-violation penalty.
 
-A chromosome holds one bit per (node, member network) pair: bit k/i says
-whether node i is pinned inside network k.  Positions outside a node's
-membership do not exist.  Fitness counts the distinct pinned nodes (an overlap
-node pinned in several networks counts once) and, when any network's gain
-search fails, adds penalty_coeff times the summed stability violation, so the
-population is pulled toward certifiable sets while minimizing their size.
+A chromosome is one uint8 row with one gene per (member network, node) pair:
+network k owns one fixed block of columns (``_columns``), and gene i of that
+block says whether the network's node i is pinned inside it.  Fitness counts
+the distinct pinned nodes (an overlap node pinned in several networks counts
+once) and, when any network's certificate fails, adds penalty_coeff times the
+summed stability violation xi, so the population is pulled toward certifiable
+sets while minimizing their size.
 
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
-offspring.  Everything is deterministic for a fixed seed.  A chromosome gets
-one certificate test per network unless its pinned count alone proves that it
-can neither survive truncation nor become the best feasible find: fitness is
-at least the pinned count, so such a child is dropped untested, which changes
-no population, series or reported plan.  There is no store of past
-evaluations; beyond the current population, the run keeps only the best
-feasible individual it has seen.  Only the reported chromosomes get gains.
+offspring.  Everything is deterministic for a fixed seed.  A generation is a
+(P, G) gene matrix with parallel pinned-count, xi and fitness vectors; the
+fitness of every row is recomputed from its count and xi at the generation's
+penalty coefficient, so the adaptive penalty needs no new certificate test.
+A chromosome gets one certificate test per network unless its pinned count
+alone proves that it can neither survive truncation nor become the best
+feasible find: fitness is at least the pinned count, so such a child is
+dropped untested, which changes no population, series or reported plan.
+Beyond the current generation, the run keeps only the best feasible row it
+has seen.  Only the reported chromosomes are split into per-network gene
+vectors and get gains.
 
 The certificate tests go through one ``CertificateTest`` per network, built once
 per search at the search gain.  Each generation is scored with one call per
-network on the matrix of its pin sets: a Cholesky factor settles a feasible
-set, and only the sets it rejects are eigensolved.  Crossover and mutation
-draw their random numbers for the whole chromosome at once.
+network on its block of the gene matrix: a Cholesky factor settles a feasible
+set, and only the sets it rejects are eigensolved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,13 +45,6 @@ from .stability import (
     check_gain,
     solve_min_gain,
 )
-
-
-@dataclass(frozen=True)
-class Chromosome:
-    """Per-network binary pin indicators, aligned with each network's nodes."""
-
-    genes: tuple[np.ndarray, ...]  # uint8 arrays
 
 
 @dataclass(frozen=True)
@@ -84,34 +82,53 @@ class GaConfig:
 
 
 @dataclass(frozen=True)
-class FitnessDetails:
-    """One chromosome's evaluation: distinct pin count and summed violation."""
+class Individual:
+    """A reported chromosome: its genes split per network, fitness, distinct pins and xi."""
 
+    genes: tuple[np.ndarray, ...]
+    fitness: float
     pinned_count: int
     xi: float
-    feasible: bool
 
-    def score(self, penalty_coeff: float) -> float:
-        """Fitness: the pinned count, plus penalty_coeff * xi when infeasible."""
-        if self.feasible:
-            return float(self.pinned_count)
-        return float(self.pinned_count) + penalty_coeff * self.xi
+    @property
+    def feasible(self) -> bool:
+        return self.xi == 0.0
+
+
+def _columns(sys: MultiNetworkSystem) -> list[slice]:
+    """Each network's block of columns in a chromosome row, in network order."""
+    stops = list(itertools.accumulate(net.n for net in sys.networks))
+    return [slice(stop - net.n, stop) for stop, net in zip(stops, sys.networks)]
+
+
+def _individual(sys: MultiNetworkSystem, genes: np.ndarray, fit, count, xi) -> Individual:
+    """A chromosome row as reported: one gene vector per network."""
+    split = tuple(genes[cols] for cols in _columns(sys))
+    return Individual(genes=split, fitness=float(fit), pinned_count=int(count), xi=float(xi))
+
+
+def _fitness(counts: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
+    """Fitness of each row: its pinned count, plus lam * xi when infeasible."""
+    return np.where(xi == 0.0, counts, counts + lam * xi)
 
 
 def fitness(
-    ch: Chromosome,
+    genes: np.ndarray,
     sys: MultiNetworkSystem,
     cfg: GaConfig,
     penalty_coeff: Optional[float] = None,
-) -> tuple[float, FitnessDetails]:
-    """Evaluate one chromosome: distinct-pin count plus violation penalty.
+) -> Individual:
+    """Evaluate one chromosome row: distinct-pin count plus violation penalty.
 
     Tests each network's certificate at cfg.fixed_gain when set, else at c_max,
     which certifies exactly the sets that some gain up to c_max does (lambda_min
     does not fall as the gain grows).  Feasible sets score their pinned count.
     """
     lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
-    return _score([ch], sys, _certificate_tests(sys, cfg), lam)[0]
+    rows = np.asarray(genes)[None]
+    counts = _pinned_counts(rows, sys)
+    xi = _violations(rows, _certificate_tests(sys, cfg), sys)
+    return _individual(sys, rows[0], _fitness(counts, xi, lam)[0], counts[0], xi[0])
 
 
 def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[CertificateTest]:
@@ -125,46 +142,36 @@ def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[Certifica
     ]
 
 
-def _score(
-    chromosomes: Sequence[Chromosome],
-    sys: MultiNetworkSystem,
-    tests: Sequence[CertificateTest],
-    lam: float,
-    counts: Optional[Sequence[int]] = None,
-) -> list[tuple[float, FitnessDetails]]:
-    """Fitness and details of each chromosome, with one certificate call per network.
-
-    xi is the sum of the networks' violations, in network order.  ``counts``
-    are the chromosomes' distinct pinned counts when the caller already has
-    them (from ``_pinned_counts``).
-    """
-    if not chromosomes:
-        return []
-    rows = _gene_rows(chromosomes, sys)
-    if counts is None:
-        counts = _pinned_counts(rows, sys)
-    xi = np.zeros(len(chromosomes))
-    for test, genes in zip(tests, rows):
-        xi += test.xis(genes)
-    scored = []
-    for x, count in zip(xi.tolist(), counts):
-        details = FitnessDetails(pinned_count=count, xi=x, feasible=x == 0.0)
-        scored.append((details.score(lam), details))
-    return scored
+def _violations(
+    genes: np.ndarray, tests: Sequence[CertificateTest], sys: MultiNetworkSystem
+) -> np.ndarray:
+    """Each row's xi: the networks' violations summed in network order, one call each."""
+    xi = np.zeros(len(genes))
+    if len(genes):
+        for test, cols in zip(tests, _columns(sys)):
+            xi += test.xis(genes[:, cols])
+    return xi
 
 
-def _pinned_counts(rows: Sequence[np.ndarray], sys: MultiNetworkSystem) -> list[int]:
-    """Distinct pinned nodes per chromosome: each network's (B, n) genes ORed into (B, N)."""
-    pinned = np.zeros((len(rows[0]), sys.total_nodes), dtype=bool)
-    for net, genes in zip(sys.networks, rows):
-        pinned[:, net.node_ids] |= genes == 1
-    return pinned.sum(axis=1).tolist()
+def _pinned_counts(genes: np.ndarray, sys: MultiNetworkSystem) -> np.ndarray:
+    """Distinct pinned nodes per row: each network's block ORed into a (B, N) array."""
+    columns = _columns(sys)
+    if genes.ndim != 2 or genes.shape[1] != columns[-1].stop:
+        raise ValueError(
+            f"chromosome rows of shape {genes.shape[1:]} do not match the system: "
+            f"they need {columns[-1].stop} genes, one block of columns per network"
+        )
+    pinned = np.zeros((len(genes), sys.total_nodes), dtype=bool)
+    for net, cols in zip(sys.networks, columns):
+        pinned[:, net.node_ids] |= genes[:, cols] == 1
+    return pinned.sum(axis=1)
 
 
 def _cannot_matter(
-    counts: Sequence[int],
-    population: Sequence[Individual],
-    best_feasible: Optional[Individual],
+    counts: np.ndarray,
+    fitness: np.ndarray,
+    parent_counts: np.ndarray,
+    best_count: Optional[int],
 ) -> list[bool]:
     """Which offspring, by pinned count c alone, can change nothing in the run.
 
@@ -173,97 +180,65 @@ def _cannot_matter(
     the stable truncation sort, and with c at or above the best feasible
     count it cannot replace that find either (its rule is a strict <).
     """
-    if best_feasible is None:
+    if best_count is None:
         return [False] * len(counts)
-    worst = max((p.fitness, p.details.pinned_count) for p in population)
-    cut = best_feasible.details.pinned_count
-    return [c >= cut and (c, c) >= worst for c in counts]
+    worst = max(zip(fitness.tolist(), parent_counts.tolist()))
+    return [c >= best_count and (c, c) >= worst for c in counts.tolist()]
 
 
-def _gene_rows(chromosomes: Sequence[Chromosome], sys: MultiNetworkSystem) -> list[np.ndarray]:
-    """Each network's genes as a (B, n) matrix, one row per chromosome."""
-    if any(len(ch.genes) != sys.num_networks for ch in chromosomes):
-        raise ValueError(f"a chromosome needs one gene array per network ({sys.num_networks})")
-    rows = []
-    for k, net in enumerate(sys.networks):
-        try:
-            genes = np.stack([ch.genes[k] for ch in chromosomes])
-        except ValueError:  # gene arrays of different shapes
-            genes = None
-        if genes is None or genes.shape[1:] != (net.n,):
-            raise ValueError("chromosome shape does not match the system")
-        rows.append(genes)
-    return rows
+def _gains(genes: Sequence[np.ndarray], sys: MultiNetworkSystem, cfg: GaConfig):
+    """Each network's gain for per-network genes: tested at fixed_gain, else solved."""
+    gains = []
+    for net, g in zip(sys.networks, genes):
+        a = (net.lap.symmetric_part, g.astype(np.float64), net.coupling_strength, net.gamma)
+        if cfg.fixed_gain is None:
+            result = solve_min_gain(*a, cfg.stability)
+        else:
+            result = check_gain(*a, cfg.fixed_gain, cfg.stability)
+        gains.append(result.gain)
+    return tuple(gains)
 
 
-def _certify(ch: Chromosome, sys: MultiNetworkSystem, stab: StabilityParams, gain):
-    """Each network's result for the chromosome: tested at ``gain``, or solved if None."""
-    results = []
-    for net, (genes,) in zip(sys.networks, _gene_rows([ch], sys)):
-        pins = genes.astype(np.float64)
-        a = (net.lap.symmetric_part, pins, net.coupling_strength, net.gamma)
-        results.append(solve_min_gain(*a, stab) if gain is None else check_gain(*a, gain, stab))
-    return results
-
-
-@dataclass(frozen=True)
-class Individual:
-    """A chromosome with its evaluated fitness, as ranked by the GA."""
-
-    chromosome: Chromosome
-    fitness: float
-    details: FitnessDetails
-
-
-def init_population(cfg: GaConfig, sys: MultiNetworkSystem, rng: np.random.Generator) -> list[Chromosome]:
-    """Draw population_size chromosomes with each defined gene ~ Bernoulli(p_d)."""
-    pop = []
-    for _ in range(cfg.population_size):
-        genes = tuple(
-            (rng.random(net.n) < cfg.init_prob).astype(np.uint8) for net in sys.networks
-        )
-        pop.append(Chromosome(genes=genes))
-    return pop
+def init_population(
+    cfg: GaConfig, sys: MultiNetworkSystem, rng: np.random.Generator
+) -> np.ndarray:
+    """population_size chromosome rows with each gene ~ Bernoulli(p_d)."""
+    shape = (cfg.population_size, _columns(sys)[-1].stop)
+    return (rng.random(shape) < cfg.init_prob).astype(np.uint8)
 
 
 def tournament_select(
-    population: Sequence[Individual], k: int, rng: np.random.Generator
-) -> Individual:
-    """Best of k uniform draws with replacement.
+    fitness: np.ndarray, counts: np.ndarray, k: int, rng: np.random.Generator
+) -> int:
+    """The row index of the best of k uniform draws with replacement.
 
-    Ties break toward fewer pinned nodes, then the lower population index.
+    Ties break toward fewer pinned nodes, then the lower row index.
     """
-    if len(population) == 0:
+    if len(fitness) == 0:
         raise ValueError("population must not be empty")
     if k < 1:
         raise ValueError("tournament size must be >= 1")
-    idx = rng.integers(0, len(population), size=k)
-    best = min(idx, key=lambda i: (population[i].fitness, population[i].details.pinned_count, i))
-    return population[best]
+    idx = rng.integers(0, len(fitness), size=k)
+    return min(idx.tolist(), key=lambda i: (fitness[i], counts[i], i))
 
 
 def crossover(
-    a: Chromosome,
-    b: Chromosome,
+    a: np.ndarray,
+    b: np.ndarray,
     p_c: float,
     rng: np.random.Generator,
     op: str = "uniform",
-) -> tuple[Chromosome, Chromosome]:
-    """With probability p_c, mix two parents; otherwise return copies.
+) -> tuple[np.ndarray, np.ndarray]:
+    """With probability p_c, mix two parent rows; otherwise return copies.
 
     Uniform crossover swaps each gene between the children with probability
-    one half; one-point crossover splits the concatenated gene string once.
-    Either works on the concatenated string, so uniform crossover draws its
-    coins for the whole chromosome at once.
+    one half; one-point crossover splits the row once.
     """
-    if len(a.genes) != len(b.genes) or any(
-        x.shape != y.shape for x, y in zip(a.genes, b.genes)
-    ):
+    if a.shape != b.shape:
         raise ValueError("parents must have matching gene shapes")
-    flat_a, flat_b = np.concatenate(a.genes), np.concatenate(b.genes)
     if rng.random() >= p_c:
-        return _split(flat_a, a), _split(flat_b, b)
-    total = len(flat_a)
+        return a.copy(), b.copy()
+    total = len(a)
     if op == "uniform":
         swap = rng.random(total) < 0.5
     elif op == "one_point":
@@ -271,26 +246,25 @@ def crossover(
         swap = np.arange(total) >= point
     else:
         raise ValueError(f"unknown crossover op {op!r}")
-    return (
-        _split(np.where(swap, flat_b, flat_a), a),
-        _split(np.where(swap, flat_a, flat_b), b),
-    )
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def mutate(ch: Chromosome, p_m: float, rng: np.random.Generator) -> Chromosome:
-    """Flip each defined gene independently with probability p_m."""
-    flat = np.concatenate(ch.genes)
-    flips = rng.random(len(flat)) < p_m
-    return _split(flat ^ flips.astype(np.uint8), ch)
+def mutate(genes: np.ndarray, p_m: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each gene of a row independently with probability p_m."""
+    return genes ^ (rng.random(len(genes)) < p_m).astype(np.uint8)
 
 
-def _split(flat: np.ndarray, like: Chromosome) -> Chromosome:
-    """A chromosome cut from a concatenated gene string, shaped like ``like``."""
-    genes, start = [], 0
-    for g in like.genes:
-        genes.append(flat[start : start + len(g)])
-        start += len(g)
-    return Chromosome(genes=tuple(genes))
+def _breed(
+    genes: np.ndarray, fit: np.ndarray, counts: np.ndarray, cfg: GaConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """population_size offspring rows by tournament selection, crossover and mutation."""
+    brood = []
+    while len(brood) < cfg.population_size:
+        a = genes[tournament_select(fit, counts, cfg.tournament_size, rng)]
+        b = genes[tournament_select(fit, counts, cfg.tournament_size, rng)]
+        for child in crossover(a, b, cfg.crossover_prob, rng, op=cfg.crossover_op):
+            brood.append(mutate(child, cfg.mutation_prob, rng))
+    return np.array(brood[: cfg.population_size])
 
 
 @dataclass(frozen=True)
@@ -329,18 +303,19 @@ class GaReport:
         """Pins and solved gains of the best feasible chromosome."""
         if self.best_feasible is None:
             raise ValueError("no feasible chromosome was found; nothing to plan with")
-        genes = self.best_feasible.chromosome.genes
-        return PinningPlan.from_genes(sys, genes, self.feasible_gains)
+        return PinningPlan.from_genes(sys, self.best_feasible.genes, self.feasible_gains)
 
     def to_dict(self) -> dict:
-        det = self.best.details
+        def bits(ind: Individual) -> list[str]:
+            return ["".join(map(str, g.tolist())) for g in ind.genes]
+
         d = {
-            "best_fitness": float(self.best.fitness),
-            "best_pinned_count": det.pinned_count,
-            "best_is_feasible": det.feasible,
-            "best_xi": det.xi,
+            "best_fitness": self.best.fitness,
+            "best_pinned_count": self.best.pinned_count,
+            "best_is_feasible": self.best.feasible,
+            "best_xi": self.best.xi,
             "best_gains": [None if g is None else float(g) for g in self.best_gains],
-            "best_genes": ["".join(str(int(b)) for b in g) for g in self.best.chromosome.genes],
+            "best_genes": bits(self.best),
             "generations": self.generations.tolist(),
             "best_fitness_series": self.best_fitness.tolist(),
             "mean_fitness_series": self.mean_fitness.tolist(),
@@ -354,12 +329,9 @@ class GaReport:
             d["feasible_best"] = None
         else:
             d["feasible_best"] = {
-                "pinned_count": self.best_feasible.details.pinned_count,
+                "pinned_count": self.best_feasible.pinned_count,
                 "gains": [float(g) for g in self.feasible_gains],
-                "genes": [
-                    "".join(str(int(b)) for b in g)
-                    for g in self.best_feasible.chromosome.genes
-                ],
+                "genes": bits(self.best_feasible),
             }
         return d
 
@@ -381,94 +353,63 @@ class GaReport:
 def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     """Run the full evolutionary loop and report per-generation statistics.
 
-    Each generation breeds population_size offspring via tournament selection,
-    crossover and mutation, then keeps the best population_size individuals of
-    parents and offspring combined.  With adaptive_penalty the coefficient
-    grows linearly to twice its base value over the run, and the kept parents
-    are re-scored at each generation's coefficient without a new solve.
-    Offspring that ``_cannot_matter`` against the re-scored parents are
-    dropped before their certificate tests.
+    Generation 0 is the initial draw.  Each later generation breeds
+    population_size offspring via tournament selection, crossover and
+    mutation, then keeps the best population_size rows of parents and
+    offspring combined, ranked by (fitness, pinned count) in a stable sort.
+    With adaptive_penalty the coefficient grows linearly to twice its base
+    value over the run, and every row is scored at its generation's
+    coefficient without a new test.  Offspring that ``_cannot_matter`` against
+    the re-scored parents are dropped before their certificate tests.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     tests = _certificate_tests(sys, cfg)
-    best_feasible: Optional[Individual] = None
-    lmi_evaluations = 0
-    pruned = 0
+    genes = np.zeros((0, _columns(sys)[-1].stop), dtype=np.uint8)
+    counts, xi = np.zeros(0, dtype=np.int64), np.zeros(0)
+    best: Optional[tuple[int, np.ndarray]] = None  # (pinned count, row) of the best feasible find
+    tested = pruned = 0
+    series = np.zeros((4, cfg.generations + 1))
+    for gen in range(cfg.generations + 1):
+        growth = gen / cfg.generations if cfg.adaptive_penalty and cfg.generations else 0.0
+        lam = cfg.penalty_coeff * (1.0 + growth)
+        if gen == 0:
+            brood = init_population(cfg, sys, rng)
+        else:
+            brood = _breed(genes, fit, counts, cfg, rng)
+        fit = _fitness(counts, xi, lam)
+        brood_counts = _pinned_counts(brood, sys)
+        drop = _cannot_matter(brood_counts, fit, counts, None if best is None else best[0])
+        tried = np.logical_not(drop)
+        brood, brood_counts = brood[tried], brood_counts[tried]
+        pruned += len(tried) - len(brood)
+        tested += len(brood)
+        brood_xi = _violations(brood, tests, sys)
+        feasible = np.flatnonzero(brood_xi == 0.0)
+        if feasible.size:
+            i = feasible[np.argmin(brood_counts[feasible])]
+            if best is None or brood_counts[i] < best[0]:
+                best = int(brood_counts[i]), brood[i]
+        counts = np.concatenate([counts, brood_counts])
+        xi = np.concatenate([xi, brood_xi])
+        fit = _fitness(counts, xi, lam)
+        keep = np.lexsort((counts, fit))[: cfg.population_size]
+        genes = np.concatenate([genes, brood])[keep]
+        counts, xi, fit = counts[keep], xi[keep], fit[keep]
+        series[:, gen] = fit[0], fit.mean(), counts[0], np.mean(xi == 0.0)
 
-    def evaluate(
-        chromosomes: list[Chromosome], lam: float, counts: Optional[list[int]] = None
-    ) -> list[Individual]:
-        nonlocal best_feasible, lmi_evaluations
-        lmi_evaluations += len(chromosomes) * sys.num_networks
-        individuals = []
-        scored = _score(chromosomes, sys, tests, lam, counts)
-        for ch, (fit, det) in zip(chromosomes, scored):
-            ind = Individual(chromosome=ch, fitness=fit, details=det)
-            if det.feasible and (
-                best_feasible is None or det.pinned_count < best_feasible.details.pinned_count
-            ):
-                best_feasible = ind
-            individuals.append(ind)
-        return individuals
-
-    def lam_at(gen: int) -> float:
-        if not cfg.adaptive_penalty or cfg.generations == 0:
-            return cfg.penalty_coeff
-        return cfg.penalty_coeff * (1.0 + gen / cfg.generations)
-
-    population = evaluate(init_population(cfg, sys, rng), lam_at(0))
-    population.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
-
-    def gains(ind: Individual) -> tuple[Optional[float], ...]:
-        return tuple(r.gain for r in _certify(ind.chromosome, sys, cfg.stability, cfg.fixed_gain))
-
-    stats = {"best": [], "mean": [], "count": [], "feasible": []}
-
-    def record(pop: list[Individual]) -> None:
-        stats["best"].append(pop[0].fitness)
-        stats["mean"].append(float(np.mean([i.fitness for i in pop])))
-        stats["count"].append(pop[0].details.pinned_count)
-        stats["feasible"].append(
-            float(np.mean([1.0 if i.details.feasible else 0.0 for i in pop]))
-        )
-
-    record(population)
-
-    for gen in range(1, cfg.generations + 1):
-        lam = lam_at(gen)
-        offspring: list[Chromosome] = []
-        while len(offspring) < cfg.population_size:
-            p1 = tournament_select(population, cfg.tournament_size, rng)
-            p2 = tournament_select(population, cfg.tournament_size, rng)
-            c1, c2 = crossover(
-                p1.chromosome, p2.chromosome, cfg.crossover_prob, rng, op=cfg.crossover_op
-            )
-            offspring.append(mutate(c1, cfg.mutation_prob, rng))
-            offspring.append(mutate(c2, cfg.mutation_prob, rng))
-        offspring = offspring[: cfg.population_size]
-        if cfg.adaptive_penalty:
-            population = [replace(i, fitness=i.details.score(lam)) for i in population]
-        counts = _pinned_counts(_gene_rows(offspring, sys), sys)
-        drop = _cannot_matter(counts, population, best_feasible)
-        kept = [k for k, d in enumerate(drop) if not d]
-        pruned += len(offspring) - len(kept)
-        evaluated = evaluate([offspring[k] for k in kept], lam, [counts[k] for k in kept])
-        combined = population + evaluated
-        combined.sort(key=lambda ind: (ind.fitness, ind.details.pinned_count))
-        population = combined[: cfg.population_size]
-        record(population)
-
+    top = _individual(sys, genes[0], fit[0], counts[0], xi[0])
+    best_feasible = None if best is None else _individual(sys, best[1], best[0], best[0], 0.0)
     return GaReport(
-        best=population[0],
+        best=top,
         best_feasible=best_feasible,
-        best_gains=gains(population[0]),
-        feasible_gains=None if best_feasible is None else gains(best_feasible),
+        best_gains=_gains(top.genes, sys, cfg),
+        feasible_gains=None if best is None else _gains(best_feasible.genes, sys, cfg),
         generations=np.arange(cfg.generations + 1),
-        best_fitness=np.array(stats["best"]),
-        mean_fitness=np.array(stats["mean"]),
-        best_pinned_count=np.array(stats["count"], dtype=np.int64),
-        feasible_fraction=np.array(stats["feasible"]),
-        lmi_evaluations=lmi_evaluations,
+        best_fitness=series[0],
+        mean_fitness=series[1],
+        best_pinned_count=series[2].astype(np.int64),
+        feasible_fraction=series[3],
+        lmi_evaluations=tested * sys.num_networks,
         eigensolves=sum(test.eigensolves for test in tests),
         pruned=pruned,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from collections import abc
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -238,12 +239,11 @@ def run_scenario(
     searched = time.perf_counter()
     chosen = report.best_feasible if report.best_feasible is not None else report.best
     gains = report.feasible_gains if report.best_feasible is not None else report.best_gains
-    det = chosen.details
 
     traj: Optional[Trajectory] = None
     conv = None
     terminal = float("nan")
-    if det.feasible:
+    if chosen.feasible:
         plan = report.best_plan(sys)
         x0 = draw_initial_states(sc, sys, trial_index)
         traj = simulate_multi(sys, plan, x0, sc.sim)
@@ -263,9 +263,9 @@ def run_scenario(
     log_term = float(np.log10(terminal)) if terminal > 0.0 else float("nan")
     outcome = TrialOutcome(
         trial_index=trial_index,
-        feasible=det.feasible,
-        pinned_count=det.pinned_count,
-        pinned_fraction=det.pinned_count / sys.total_nodes,
+        feasible=chosen.feasible,
+        pinned_count=chosen.pinned_count,
+        pinned_fraction=chosen.pinned_count / sys.total_nodes,
         gains=gains,
         convergence_time=conv,
         terminal_max_error=terminal,
@@ -311,22 +311,18 @@ def _fmt(v) -> str:
     return f"{v:.17g}" if np.isfinite(v) else ""
 
 
-def write_trials_csv(outcomes: Sequence[TrialOutcome], path: str | Path) -> None:
-    k = len(outcomes[0].gains) if outcomes else 0
-    header = list(_TRIAL_CSV_FIELDS) + [f"gain_{i}" for i in range(k)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for o in outcomes:
-            row = [
-                _fmt(o.trial_index),
-                _fmt(o.feasible),
-                _fmt(o.pinned_count),
-                _fmt(o.pinned_fraction),
-                _fmt(o.convergence_time),
-                _fmt(o.terminal_max_error),
-                _fmt(o.log10_terminal_error),
-            ] + [_fmt(g) for g in o.gains]
-            fh.write(",".join(row) + "\n")
+def _trials_csv_row(o: TrialOutcome) -> str:
+    values = (
+        o.trial_index,
+        o.feasible,
+        o.pinned_count,
+        o.pinned_fraction,
+        o.convergence_time,
+        o.terminal_max_error,
+        o.log10_terminal_error,
+        *o.gains,
+    )
+    return ",".join(_fmt(v) for v in values) + "\n"
 
 
 def summary_stats(values: Sequence[Optional[float]]) -> dict:
@@ -382,22 +378,37 @@ def run_batch(
     trials: Optional[int] = None,
     out_dir: Optional[str | Path] = None,
 ) -> BatchSummary:
-    """Run repeated trials with derived seeds and fold them into statistics."""
+    """Run repeated trials with derived seeds and fold them into statistics.
+
+    With ``out_dir``, ``trials.csv`` gets its header before the first trial and
+    one row, appended and closed, as each trial finishes; ``batch_summary.json``
+    is written under a temporary name and renamed into place after the last.
+    A batch that stops early keeps the rows of its finished trials and leaves
+    no summary.
+    """
     n_trials = sc.trials if trials is None else trials
     if n_trials < 1:
         raise ValueError("trials must be >= 1")
-    outcomes = []
-    for t in range(n_trials):
-        trial_dir = None if out_dir is None else Path(out_dir) / f"trial_{t:03d}"
-        outcomes.append(run_scenario(sc, trial_index=t, out_dir=trial_dir))
-    summary = summarize(outcomes)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_trials_csv(outcomes, out / "trials.csv")
-        with open(out / "batch_summary.json", "w", encoding="utf-8") as fh:
+        (out / "batch_summary.json").unlink(missing_ok=True)
+        header = list(_TRIAL_CSV_FIELDS) + [f"gain_{i}" for i in range(len(sc.networks))]
+        (out / "trials.csv").write_text(",".join(header) + "\n", encoding="utf-8")
+    outcomes = []
+    for t in range(n_trials):
+        trial_dir = None if out_dir is None else out / f"trial_{t:03d}"
+        outcomes.append(run_scenario(sc, trial_index=t, out_dir=trial_dir))
+        if out_dir is not None:
+            with open(out / "trials.csv", "a", encoding="utf-8") as fh:
+                fh.write(_trials_csv_row(outcomes[-1]))
+    summary = summarize(outcomes)
+    if out_dir is not None:
+        partial = out / "batch_summary.json.partial"
+        with open(partial, "w", encoding="utf-8") as fh:
             json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(partial, out / "batch_summary.json")
     return summary
 
 
@@ -426,16 +437,15 @@ class FixedGainStudy:
 
 
 def _study_row(label: str, outcomes: Sequence[TrialOutcome]) -> FixedGainRow:
-    counts = np.array([o.pinned_count for o in outcomes], dtype=np.float64)
-    terms = [o.terminal_max_error for o in outcomes if np.isfinite(o.terminal_max_error)]
-    logs = [o.log10_terminal_error for o in outcomes if np.isfinite(o.log10_terminal_error)]
+    fold = summarize(outcomes)
+    counts = summary_stats([o.pinned_count for o in outcomes])
     return FixedGainRow(
         label=label,
-        mean_pinned_count=float(np.mean(counts)),
-        std_pinned_count=float(np.std(counts)),
-        feasibility_rate=float(np.mean([1.0 if o.feasible else 0.0 for o in outcomes])),
-        mean_terminal_error=float(np.mean(terms)) if terms else None,
-        mean_log10_terminal_error=float(np.mean(logs)) if logs else None,
+        mean_pinned_count=counts["mean"],
+        std_pinned_count=counts["std"],
+        feasibility_rate=fold.feasibility_rate,
+        mean_terminal_error=summary_stats([o.terminal_max_error for o in outcomes])["mean"],
+        mean_log10_terminal_error=fold.log10_terminal_error["mean"],
     )
 
 

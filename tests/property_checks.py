@@ -16,7 +16,7 @@ from pinnet.dynamics import (
     simulate_single,
 )
 from pinnet import ga
-from pinnet.ga import Chromosome, GaConfig, evolve, fitness
+from pinnet.ga import GaConfig, evolve, fitness
 from pinnet.network import (
     DirectedNetwork,
     build_multinetwork,
@@ -295,26 +295,26 @@ def check_search_verdict_matches_solve(n_cases: int) -> None:
         g, coupling, gamma, pins, params = _gain_case(rng, i)
         net = make_network(g, coupling, gamma)
         sys = single_network_system(net)
-        chromosome = Chromosome(genes=(pins.astype(np.uint8),))
+        chromosome = pins.astype(np.uint8)
         args = (net.lap.symmetric_part, pins, coupling, gamma)
 
         def tested(gain, params):
             exact = check_gain(*args, gain, params)
             test = CertificateTest(net.lap.symmetric_part, coupling, gamma, gain, params)
             xi = test.xi(pins)
-            _, det = fitness(chromosome, sys, GaConfig(stability=params, fixed_gain=gain))
+            ind = fitness(chromosome, sys, GaConfig(stability=params, fixed_gain=gain))
             case = (i, g.shape[0], pins.tolist(), gain, params)
-            assert (xi == 0.0) == det.feasible == exact.feasible, case
-            assert xi == det.xi == exact.xi, case
+            assert (xi == 0.0) == ind.feasible == exact.feasible, case
+            assert xi == ind.xi == exact.xi, case
             return exact
 
         def agree(params):
             solved = solve_min_gain(*args, params)
             at_c_max = tested(params.c_max, params)
-            _, det = fitness(chromosome, sys, GaConfig(stability=params))
+            ind = fitness(chromosome, sys, GaConfig(stability=params))
             case = (i, g.shape[0], pins.tolist(), params)
-            assert solved.feasible == at_c_max.feasible == det.feasible, case
-            assert det.xi == at_c_max.xi, case
+            assert solved.feasible == at_c_max.feasible == ind.feasible, case
+            assert ind.xi == at_c_max.xi, case
             if not solved.feasible:
                 assert (solved.margin, solved.xi) == (at_c_max.margin, at_c_max.xi), case
             return solved
@@ -548,13 +548,13 @@ def check_overlap_nodes_counted_once(n_cases: int) -> None:
         genes = tuple(
             (rng.random(net.n) < 0.5).astype(np.uint8) for net in sys.networks
         )
-        fit, det = fitness(Chromosome(genes=genes), sys, cfg)
+        ind = fitness(np.concatenate(genes), sys, cfg)
         pinned_anywhere = set()
         for net, g in zip(sys.networks, genes):
             pinned_anywhere.update(int(i) for i, b in zip(net.node_ids, g) if b)
-        assert det.pinned_count == len(pinned_anywhere)
-        if det.feasible:
-            assert fit == float(det.pinned_count)
+        assert ind.pinned_count == len(pinned_anywhere)
+        if ind.feasible:
+            assert ind.fitness == float(ind.pinned_count)
 
 
 def check_seeded_runs_identical(n_cases: int) -> None:
@@ -609,7 +609,7 @@ def check_pruned_search_matches_full_search(n_cases: int) -> None:
         if pruned.pruned == 0:
             continue  # the rule dropped nothing, so the run took the full search's path
         pruned_cases += 1
-        ga._cannot_matter = lambda counts, population, best_feasible: [False] * len(counts)
+        ga._cannot_matter = lambda counts, fitness, parent_counts, best_count: [False] * len(counts)
         try:
             full = evolve(cfg, sys)
         finally:

@@ -92,7 +92,7 @@ def test_criterion_3_oracle_equivalence():
         if report.best_feasible is None:
             failures.append(f"seed {seed}: search found no certifiable set")
             continue
-        found = report.best_feasible.details.pinned_count
+        found = report.best_feasible.pinned_count
         if found < oracle[0]:
             failures.append(f"seed {seed}: search count {found} below oracle {oracle[0]}")
         matches += found == oracle[0]

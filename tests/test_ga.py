@@ -8,10 +8,7 @@ import pytest
 
 from pinnet import ga
 from pinnet.ga import (
-    Chromosome,
-    FitnessDetails,
     GaConfig,
-    Individual,
     crossover,
     evolve,
     fitness,
@@ -53,48 +50,56 @@ def overlap_system(seed=0):
     return build_multinetwork(nets, memberships)
 
 
-def dummy_individual(fit: float, count: int) -> Individual:
-    ch = Chromosome(genes=(np.zeros(1, dtype=np.uint8),))
-    det = FitnessDetails(pinned_count=count, xi=0.0, feasible=True)
-    return Individual(chromosome=ch, fitness=fit, details=det)
+def genes(*bits):
+    return np.array(bits, dtype=np.uint8)
 
 
 class TestInitPopulation:
     def test_all_zero_and_all_one_extremes(self):
-        sys = small_system()
+        sys = overlap_system()
         rng = np.random.default_rng(0)
         for p, value in ((0.0, 0), (1.0, 1)):
             cfg = GaConfig(population_size=5, init_prob=p)
             pop = init_population(cfg, sys, rng)
-            assert all(np.all(ch.genes[0] == value) for ch in pop)
+            assert pop.shape == (5, 6) and pop.dtype == np.uint8
+            assert np.all(pop == value)
 
     def test_binomial_mean_pinned_count(self):
         sys = small_system(n=50, threshold=0.5)
         cfg = GaConfig(population_size=10000, init_prob=0.2)
         pop = init_population(cfg, sys, np.random.default_rng(42))
-        counts = np.array([ch.genes[0].sum() for ch in pop], dtype=float)
+        counts = pop.sum(axis=1, dtype=float)
         assert abs(counts.mean() - 10.0) <= 0.3
+
+    def test_one_draw_per_gene_in_row_order(self):
+        # the same random stream as drawing each chromosome's networks in turn
+        sys = overlap_system()
+        cfg = GaConfig(population_size=4, init_prob=0.4)
+        pop = init_population(cfg, sys, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        looped = [
+            np.concatenate([rng.random(net.n) < 0.4 for net in sys.networks])
+            for _ in range(cfg.population_size)
+        ]
+        assert np.array_equal(pop, np.array(looped, dtype=np.uint8))
 
 
 class TestFitness:
     def test_all_pinned_fit_equals_node_count(self):
         sys = small_system()
-        cfg = GaConfig()
-        ch = Chromosome(genes=(np.ones(6, dtype=np.uint8),))
-        fit, det = fitness(ch, sys, cfg)
-        assert det.feasible and det.xi == 0.0
-        assert fit == 6.0 == float(det.pinned_count)
+        ind = fitness(np.ones(6, dtype=np.uint8), sys, GaConfig())
+        assert ind.feasible and ind.xi == 0.0
+        assert ind.fitness == 6.0 == float(ind.pinned_count)
 
     def test_all_zero_pays_pure_penalty(self):
         # empty 4-node graph: no coupling, no pins, violation delta*sqrt(n)
         net = make_network(np.zeros((4, 4)), 1.0, 1.0, 0.0)
         sys = single_network_system(net)
         cfg = GaConfig(penalty_coeff=10.0, stability=StabilityParams(delta=1.0))
-        ch = Chromosome(genes=(np.zeros(4, dtype=np.uint8),))
-        fit, det = fitness(ch, sys, cfg)
-        assert not det.feasible
-        assert det.pinned_count == 0
-        assert fit == 10.0 * 2.0  # lambda * delta * sqrt(4)
+        ind = fitness(np.zeros(4, dtype=np.uint8), sys, cfg)
+        assert not ind.feasible
+        assert ind.pinned_count == 0
+        assert ind.fitness == 10.0 * 2.0  # lambda * delta * sqrt(4)
 
     def test_exhaustive_n5_matches_independent_recomputation(self):
         sys = small_system(n=5, seed=3, threshold=0.5)
@@ -114,142 +119,125 @@ class TestFitness:
 
         module_fits, oracle_fits = [], []
         for bits in itertools.product((0, 1), repeat=5):
-            ch = Chromosome(genes=(np.array(bits, dtype=np.uint8),))
-            fit, _ = fitness(ch, sys, cfg)
-            module_fits.append(fit)
+            module_fits.append(fitness(genes(*bits), sys, cfg).fitness)
             oracle_fits.append(recompute(bits))
         assert np.allclose(module_fits, oracle_fits, rtol=1e-10, atol=1e-10)
         assert np.array_equal(np.argsort(module_fits), np.argsort(oracle_fits))
 
     def test_overlap_node_counted_once(self):
         sys = overlap_system()
-        cfg = GaConfig()
-        genes = (
-            np.array([0, 0, 1], dtype=np.uint8),
-            np.array([1, 0, 0], dtype=np.uint8),
-        )  # node 2 pinned in both networks
-        _, det = fitness(Chromosome(genes=genes), sys, cfg)
-        assert det.pinned_count == 1
+        # node 2 is the last gene of network 0 and the first of network 1
+        ind = fitness(genes(0, 0, 1, 1, 0, 0), sys, GaConfig())
+        assert ind.pinned_count == 1
+        assert [g.tolist() for g in ind.genes] == [[0, 0, 1], [1, 0, 0]]
 
     def test_shape_mismatch_rejected(self):
         sys = small_system()
         with pytest.raises(ValueError):
-            fitness(Chromosome(genes=(np.ones(4, dtype=np.uint8),)), sys, GaConfig())
+            fitness(np.ones(4, dtype=np.uint8), sys, GaConfig())
 
     def test_gene_arrays_must_match_the_networks(self):
         sys = build_system(builtin_scenario("multi-50"))
         cfg = GaConfig()
-        whole = tuple(np.ones(net.n, dtype=np.uint8) for net in sys.networks)
-        assert fitness(Chromosome(genes=whole), sys, cfg)[1].pinned_count == sys.total_nodes
-        clipped = whole[:2] + (whole[2][:-1],)  # 35/25/24 genes for 35/25/25 nodes
-        for genes in (whole[:1], whole[:2], whole + whole[:1], clipped):
-            with pytest.raises(ValueError):
-                fitness(Chromosome(genes=genes), sys, cfg)
+        total = sum(net.n for net in sys.networks)  # 35 + 25 + 25 genes
+        whole = np.ones(total, dtype=np.uint8)
+        assert fitness(whole, sys, cfg).pinned_count == sys.total_nodes
+        for size in (35, 60, total + 35, total - 1):
+            with pytest.raises(ValueError, match="one block of columns per network"):
+                fitness(np.ones(size, dtype=np.uint8), sys, cfg)
+        with pytest.raises(ValueError):
+            fitness(np.ones((1, total), dtype=np.uint8), sys, cfg)
 
     def test_no_chromosomes_score_without_a_certificate_call(self, monkeypatch):
         sys = overlap_system(seed=1)
         tests = ga._certificate_tests(sys, GaConfig())
         monkeypatch.setattr(CertificateTest, "xis", lambda *a: pytest.fail("xis called"))
-        assert ga._score([], sys, tests, 10.0) == []
+        xi = ga._violations(np.zeros((0, 6), dtype=np.uint8), tests, sys)
+        assert xi.shape == (0,)
 
     def test_gene_outside_zero_one_rejected(self):
         sys = small_system()
-        genes = np.ones(6, dtype=np.uint8)
-        genes[3] = 2  # all other genes pinned, so the set would certify
+        row = np.ones(6, dtype=np.uint8)
+        row[3] = 2  # all other genes pinned, so the set would certify
         with pytest.raises(ValueError, match="0 or 1"):
-            fitness(Chromosome(genes=(genes,)), sys, GaConfig())
+            fitness(row, sys, GaConfig())
 
 
 class TestTournament:
     def test_k1_is_uniform_draw(self):
-        pop = [dummy_individual(float(f), 1) for f in (1, 2, 3, 4)]
+        fit, counts = np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4, dtype=np.int64)
         rng = np.random.default_rng(0)
-        picks = np.array(
-            [tournament_select(pop, 1, rng).fitness for _ in range(8000)]
-        )
-        freqs = [np.mean(picks == f) for f in (1.0, 2.0, 3.0, 4.0)]
+        picks = np.array([tournament_select(fit, counts, 1, rng) for _ in range(8000)])
+        freqs = [np.mean(picks == i) for i in range(4)]
         assert all(abs(f - 0.25) < 0.02 for f in freqs)
 
     def test_k2_rank_probabilities(self):
         # best-of-two with replacement over 4 distinct ranks: {7,5,3,1}/16
-        pop = [dummy_individual(float(f), 1) for f in (1, 2, 3, 4)]
+        fit, counts = np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4, dtype=np.int64)
         rng = np.random.default_rng(1)
-        picks = np.array(
-            [tournament_select(pop, 2, rng).fitness for _ in range(10000)]
-        )
+        picks = np.array([tournament_select(fit, counts, 2, rng) for _ in range(10000)])
         expected = np.array([7, 5, 3, 1]) / 16.0
-        for f, p in zip((1.0, 2.0, 3.0, 4.0), expected):
-            assert abs(np.mean(picks == f) - p) < 0.02
+        for i, p in enumerate(expected):
+            assert abs(np.mean(picks == i) - p) < 0.02
 
     def test_ties_prefer_fewer_pins_then_lower_index(self):
-        pop = [dummy_individual(2.0, 5), dummy_individual(2.0, 3), dummy_individual(2.0, 3)]
+        fit, counts = np.array([2.0, 2.0, 2.0]), np.array([5, 3, 3])
         rng = np.random.default_rng(2)
-        pick = tournament_select(pop, len(pop) * 20, rng)
-        assert pick is pop[1]
+        assert tournament_select(fit, counts, len(fit) * 20, rng) == 1
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select([], 2, np.random.default_rng(0))
+            tournament_select(np.zeros(0), np.zeros(0), 2, np.random.default_rng(0))
 
 
 class TestCrossover:
     def test_identical_parents_unchanged(self):
-        genes = (np.array([1, 0, 1, 1], dtype=np.uint8),)
-        a = Chromosome(genes=genes)
+        a = genes(1, 0, 1, 1)
         c1, c2 = crossover(a, a, 1.0, np.random.default_rng(0))
-        assert np.array_equal(c1.genes[0], genes[0])
-        assert np.array_equal(c2.genes[0], genes[0])
+        assert np.array_equal(c1, a)
+        assert np.array_equal(c2, a)
 
     def test_pc_zero_copies(self):
-        a = Chromosome(genes=(np.array([1, 1, 0, 0], dtype=np.uint8),))
-        b = Chromosome(genes=(np.array([0, 0, 1, 1], dtype=np.uint8),))
+        a, b = genes(1, 1, 0, 0), genes(0, 0, 1, 1)
         c1, c2 = crossover(a, b, 0.0, np.random.default_rng(0))
-        assert np.array_equal(c1.genes[0], a.genes[0])
-        assert np.array_equal(c2.genes[0], b.genes[0])
+        assert np.array_equal(c1, a) and c1 is not a
+        assert np.array_equal(c2, b) and c2 is not b
 
     def test_complementary_parents_mix_half(self):
         n = 50
-        a = Chromosome(genes=(np.zeros(n, dtype=np.uint8),))
-        b = Chromosome(genes=(np.ones(n, dtype=np.uint8),))
+        a, b = np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)
         rng = np.random.default_rng(3)
         freq = np.zeros(n)
         trials = 10000
         for _ in range(trials):
             c1, _ = crossover(a, b, 1.0, rng)
-            freq += c1.genes[0]
+            freq += c1
         freq /= trials
         assert np.all(np.abs(freq - 0.5) < 0.02)
 
     def test_one_point_variant(self):
-        a = Chromosome(genes=(np.zeros(6, dtype=np.uint8), np.zeros(4, dtype=np.uint8)))
-        b = Chromosome(genes=(np.ones(6, dtype=np.uint8), np.ones(4, dtype=np.uint8)))
+        a, b = np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8)
         c1, c2 = crossover(a, b, 1.0, np.random.default_rng(5), op="one_point")
-        flat1 = np.concatenate(c1.genes)
-        flat2 = np.concatenate(c2.genes)
         # one contiguous block swapped: exactly one 0->1 transition overall
-        assert np.sum(np.abs(np.diff(flat1.astype(int)))) == 1
-        assert np.array_equal(flat1 ^ 1, flat2)
+        assert np.sum(np.abs(np.diff(c1.astype(int)))) == 1
+        assert np.array_equal(c1 ^ 1, c2)
 
     def test_shape_mismatch_rejected(self):
-        a = Chromosome(genes=(np.zeros(3, dtype=np.uint8),))
-        b = Chromosome(genes=(np.zeros(4, dtype=np.uint8),))
         with pytest.raises(ValueError):
-            crossover(a, b, 1.0, np.random.default_rng(0))
+            crossover(genes(0, 0, 0), genes(0, 0, 0, 0), 1.0, np.random.default_rng(0))
 
 
 class TestMutate:
     def test_identity_and_complement(self):
-        ch = Chromosome(genes=(np.array([1, 0, 1], dtype=np.uint8),))
+        row = genes(1, 0, 1)
         rng = np.random.default_rng(0)
-        same = mutate(ch, 0.0, rng)
-        assert np.array_equal(same.genes[0], ch.genes[0])
-        flipped = mutate(ch, 1.0, rng)
-        assert np.array_equal(flipped.genes[0], ch.genes[0] ^ 1)
+        assert np.array_equal(mutate(row, 0.0, rng), row)
+        assert np.array_equal(mutate(row, 1.0, rng), row ^ 1)
 
     def test_binomial_mean_flip_count(self):
-        ch = Chromosome(genes=(np.zeros(200, dtype=np.uint8),))
+        row = np.zeros(200, dtype=np.uint8)
         rng = np.random.default_rng(7)
-        flips = np.array([mutate(ch, 0.05, rng).genes[0].sum() for _ in range(10000)])
+        flips = np.array([mutate(row, 0.05, rng).sum() for _ in range(10000)])
         assert abs(flips.mean() - 10.0) <= 0.5
 
 
@@ -270,7 +258,7 @@ class TestEvolve:
         report = evolve(cfg, sys)
         assert len(report.best_fitness) == 1
         pop = init_population(cfg, sys, np.random.default_rng(cfg.rng_seed))
-        fits = [fitness(ch, sys, cfg)[0] for ch in pop]
+        fits = [fitness(row, sys, cfg).fitness for row in pop]
         assert report.best.fitness == min(fits)
 
     def test_matches_exhaustive_minimum_on_small_instances(self):
@@ -278,18 +266,16 @@ class TestEvolve:
         hits = 0
         for seed in range(5):
             sys = small_system(n=5, seed=seed, threshold=0.5)
-            net = sys.networks[0]
             best_count = None
             for bits in itertools.product((0, 1), repeat=5):
-                ch = Chromosome(genes=(np.array(bits, dtype=np.uint8),))
-                _, det = fitness(ch, sys, GaConfig(stability=params))
-                if det.feasible:
-                    c = det.pinned_count
+                ind = fitness(genes(*bits), sys, GaConfig(stability=params))
+                if ind.feasible:
+                    c = ind.pinned_count
                     best_count = c if best_count is None else min(best_count, c)
             cfg = self._cfg(population_size=32, generations=30, rng_seed=100 + seed)
             report = evolve(cfg, sys)
             assert report.best_feasible is not None
-            found = report.best_feasible.details.pinned_count
+            found = report.best_feasible.pinned_count
             assert found >= best_count
             hits += found == best_count
         assert hits >= 4
@@ -311,13 +297,13 @@ class TestEvolve:
         report = evolve(self._cfg(), sys)
         ind = report.best_feasible
         assert ind is not None
-        assert ind.fitness == float(ind.details.pinned_count)
+        assert ind.fitness == float(ind.pinned_count)
 
     def test_report_serialization_and_plan(self, tmp_path):
         sys = overlap_system(seed=1)
         report = evolve(self._cfg(generations=6), sys)
         d = report.to_dict()
-        assert len(d["best_genes"]) == 2
+        assert [len(g) for g in d["best_genes"]] == [3, 3]
         assert d["lmi_evaluations"] > 0
         path = tmp_path / "report.csv"
         report.write_csv(path)
@@ -326,23 +312,25 @@ class TestEvolve:
         assert len(lines) == 1 + len(report.generations)
         if report.best_feasible is not None:
             plan = report.best_plan(sys)
-            assert plan.pinned_count == report.best_feasible.details.pinned_count
+            assert plan.pinned_count == report.best_feasible.pinned_count
 
     def test_adaptive_penalty_runs(self, monkeypatch):
-        tests, solves, parents = [], [], []
+        tests, xis, solves, parents = [], set(), [], []
         verdicts, solve, select = CertificateTest.xis, ga.solve_min_gain, ga.tournament_select
 
         def spy_verdicts(test, pins):
             tests.extend(pins)
-            return verdicts(test, pins)
+            xi = verdicts(test, pins)
+            xis.update(xi.tolist())
+            return xi
 
         monkeypatch.setattr(CertificateTest, "xis", spy_verdicts)
         monkeypatch.setattr(ga, "solve_min_gain", lambda *a: solves.append(a) or solve(*a))
 
-        def spy_select(population, k, rng):
-            if not parents or parents[-1] is not population:
-                parents.append(population)
-            return select(population, k, rng)
+        def spy_select(fit, counts, k, rng):
+            if not parents or parents[-1][0] is not fit:
+                parents.append((fit, counts))
+            return select(fit, counts, k, rng)
 
         monkeypatch.setattr(ga, "tournament_select", spy_select)
         sys = small_system(n=5, seed=6, threshold=0.6)
@@ -355,12 +343,19 @@ class TestEvolve:
         assert 0 < report.eigensolves < report.lmi_evaluations
         assert len(solves) <= 2 * sys.num_networks
         # generation g breeds from the population ranked at generation g - 1,
-        # whose coefficient is penalty_coeff * (1 + (g - 1) / generations)
+        # whose coefficient is penalty_coeff * (1 + (g - 1) / generations): on
+        # this one-network system every parent's fitness is its count plus that
+        # coefficient times an xi one certificate call returned
         assert len(parents) == cfg.generations
-        for gen, population in enumerate(parents):
+        penalized = 0
+        for gen, (fit, counts) in enumerate(parents):
             lam = cfg.penalty_coeff * (1.0 + gen / cfg.generations)
-            assert all(i.fitness == i.details.score(lam) for i in population)
-        assert report.best.fitness == report.best.details.score(2.0 * cfg.penalty_coeff)
+            for f, c in zip(fit.tolist(), counts.tolist()):
+                assert f == c or any(c + lam * x == f for x in xis if x > 0.0)
+                penalized += f != c
+        assert penalized > 0
+        best = report.best
+        assert best.fitness == best.pinned_count + 2.0 * cfg.penalty_coeff * best.xi
         assert report.best_fitness[-1] == report.best.fitness
 
     def test_chromosomes_that_miss_a_network_are_rejected(self, monkeypatch):
@@ -368,10 +363,10 @@ class TestEvolve:
         draw = ga.init_population
 
         def short(cfg, sys, rng):
-            return [Chromosome(genes=ch.genes[:1]) for ch in draw(cfg, sys, rng)]
+            return draw(cfg, sys, rng)[:, : sys.networks[0].n]
 
         monkeypatch.setattr(ga, "init_population", short)
-        with pytest.raises(ValueError, match="one gene array per network"):
+        with pytest.raises(ValueError, match="one block of columns per network"):
             evolve(self._cfg(), sys)
 
     def test_seeded_multi50_reports_match_the_recording(self):
@@ -390,6 +385,13 @@ class TestEvolve:
         }
         for name, variant in variants.items():
             assert evolve(variant, sys).to_dict() == RECORDED_MULTI50[name], name
+
+    def test_seeded_single50_fixed_gain_report_matches_the_recording(self):
+        # The fixed-gain path: no set certifies at gain 5, so the best is
+        # infeasible, its gain is None and there is no feasible find.
+        sc = builtin_scenario("single-50")
+        cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7, fixed_gain=5.0)
+        assert evolve(cfg, build_system(sc)).to_dict() == RECORDED_SINGLE50_FIXED
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_one_certificate_test_per_network_for_each_unpruned_chromosome(
@@ -415,7 +417,7 @@ class TestEvolve:
         sys = small_system(n=5, seed=2, threshold=0.5)
         cfg = self._cfg(fixed_gain=50.0, generations=10)
         report = evolve(cfg, sys)
-        if report.best.details.feasible:
+        if report.best.feasible:
             assert report.best_gains == (50.0,)
 
     def test_config_validation(self):
@@ -530,3 +532,31 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
                                                         21.696427053300116,
                                                         20.8],
                                 'pruned': 21}}
+
+# evolve(...).to_dict() for built-in single-50 (trial 0), fixed gain 5.0, population 20,
+# 5 generations, seed 7.
+RECORDED_SINGLE50_FIXED = {'best_fitness': 53.7848257269318,
+                           'best_fitness_series': [59.90520989379259,
+                                                   59.14283470615972,
+                                                   58.47591655078702,
+                                                   56.613508484622955,
+                                                   55.13970892270446,
+                                                   53.7848257269318],
+                           'best_gains': [None],
+                           'best_genes': ['11110101011110010010011001111000101111101101101010'],
+                           'best_is_feasible': False,
+                           'best_pinned_count': 30,
+                           'best_pinned_count_series': [23, 24, 25, 27, 28, 30],
+                           'best_xi': 2.37848257269318,
+                           'eigensolves': 120,
+                           'feasible_best': None,
+                           'feasible_fraction_series': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                           'generations': [0, 1, 2, 3, 4, 5],
+                           'lmi_evaluations': 120,
+                           'mean_fitness_series': [68.37632307763523,
+                                                   64.46520869433564,
+                                                   60.72571556706688,
+                                                   59.12334527188909,
+                                                   57.5865098091251,
+                                                   56.104107959042764],
+                           'pruned': 0}

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pinnet import harness
 from pinnet.dynamics import SimulationConfig, export_errors_csv
 from pinnet.ga import GaConfig
 from pinnet.harness import (
@@ -213,6 +214,26 @@ class TestRunBatch:
         ):
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
+    def test_a_failed_trial_leaves_the_finished_rows_and_no_summary(self, tmp_path, monkeypatch):
+        sc = tiny_multi()
+        run_batch(sc, trials=3, out_dir=tmp_path / "whole")
+        run = harness.run_scenario
+
+        def trial_1_fails(sc, trial_index=0, out_dir=None):
+            if trial_index == 1:
+                raise RuntimeError("trial 1 failed")
+            return run(sc, trial_index=trial_index, out_dir=out_dir)
+
+        monkeypatch.setattr(harness, "run_scenario", trial_1_fails)
+        stopped = tmp_path / "stopped"
+        stopped.mkdir()
+        (stopped / "batch_summary.json").write_text("{}\n")  # left by an earlier run
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            run_batch(sc, trials=3, out_dir=stopped)
+        whole = (tmp_path / "whole" / "trials.csv").read_text().splitlines()
+        assert (stopped / "trials.csv").read_text().splitlines() == whole[:2]
+        assert sorted(p.name for p in stopped.iterdir()) == ["trial_000", "trials.csv"]
+
 
 class TestFixedGainStudy:
     def test_single_trial_table_populated(self):
@@ -334,7 +355,7 @@ class TestBruteForce:
             )
             report = evolve(cfg, sys)
             if report.best_feasible is not None:
-                assert report.best_feasible.details.pinned_count >= oracle[0]
+                assert report.best_feasible.pinned_count >= oracle[0]
 
 
 class TestScenarioIO:
