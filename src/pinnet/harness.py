@@ -437,15 +437,14 @@ class FixedGainStudy:
 
 
 def _study_row(label: str, outcomes: Sequence[TrialOutcome]) -> FixedGainRow:
-    fold = summarize(outcomes)
     counts = summary_stats([o.pinned_count for o in outcomes])
     return FixedGainRow(
         label=label,
         mean_pinned_count=counts["mean"],
         std_pinned_count=counts["std"],
-        feasibility_rate=fold.feasibility_rate,
+        feasibility_rate=summarize(outcomes).feasibility_rate,
         mean_terminal_error=summary_stats([o.terminal_max_error for o in outcomes])["mean"],
-        mean_log10_terminal_error=fold.log10_terminal_error["mean"],
+        mean_log10_terminal_error=summary_stats([o.log10_terminal_error for o in outcomes])["mean"],
     )
 
 

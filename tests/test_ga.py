@@ -315,24 +315,20 @@ class TestEvolve:
             assert plan.pinned_count == report.best_feasible.pinned_count
 
     def test_adaptive_penalty_runs(self, monkeypatch):
-        tests, xis, solves, parents = [], set(), [], []
-        verdicts, solve, select = CertificateTest.xis, ga.solve_min_gain, ga.tournament_select
+        tests, solves, parents = [], [], []
+        verdicts, solve, breed = CertificateTest.xis, ga.solve_min_gain, ga._breed
 
         def spy_verdicts(test, pins):
             tests.extend(pins)
-            xi = verdicts(test, pins)
-            xis.update(xi.tolist())
-            return xi
+            return verdicts(test, pins)
+
+        def spy_breed(genes, fit, counts, cfg, rng):
+            parents.append((genes.copy(), fit.copy(), counts.copy()))
+            return breed(genes, fit, counts, cfg, rng)
 
         monkeypatch.setattr(CertificateTest, "xis", spy_verdicts)
         monkeypatch.setattr(ga, "solve_min_gain", lambda *a: solves.append(a) or solve(*a))
-
-        def spy_select(fit, counts, k, rng):
-            if not parents or parents[-1][0] is not fit:
-                parents.append((fit, counts))
-            return select(fit, counts, k, rng)
-
-        monkeypatch.setattr(ga, "tournament_select", spy_select)
+        monkeypatch.setattr(ga, "_breed", spy_breed)
         sys = small_system(n=5, seed=6, threshold=0.6)
         cfg = self._cfg(adaptive_penalty=True, generations=4)
         report = evolve(cfg, sys)
@@ -343,19 +339,23 @@ class TestEvolve:
         assert 0 < report.eigensolves < report.lmi_evaluations
         assert len(solves) <= 2 * sys.num_networks
         # generation g breeds from the population ranked at generation g - 1,
-        # whose coefficient is penalty_coeff * (1 + (g - 1) / generations): on
-        # this one-network system every parent's fitness is its count plus that
-        # coefficient times an xi one certificate call returned
+        # whose coefficient is penalty_coeff * (1 + (g - 1) / generations):
+        # every parent row scores exactly what evaluating it alone at that
+        # coefficient gives
         assert len(parents) == cfg.generations
         penalized = 0
-        for gen, (fit, counts) in enumerate(parents):
+        for gen, (genes, fit, counts) in enumerate(parents):
             lam = cfg.penalty_coeff * (1.0 + gen / cfg.generations)
-            for f, c in zip(fit.tolist(), counts.tolist()):
-                assert f == c or any(c + lam * x == f for x in xis if x > 0.0)
-                penalized += f != c
+            for row, f, c in zip(genes, fit.tolist(), counts.tolist()):
+                ind = fitness(row, sys, cfg, penalty_coeff=lam)
+                assert f == ind.fitness
+                assert c == ind.pinned_count
+                penalized += not ind.feasible
         assert penalized > 0
         best = report.best
-        assert best.fitness == best.pinned_count + 2.0 * cfg.penalty_coeff * best.xi
+        lam = 2.0 * cfg.penalty_coeff
+        final = fitness(np.concatenate(best.genes), sys, cfg, penalty_coeff=lam)
+        assert best.fitness == final.fitness == best.pinned_count + lam * best.xi
         assert report.best_fitness[-1] == report.best.fitness
 
     def test_chromosomes_that_miss_a_network_are_rejected(self, monkeypatch):
