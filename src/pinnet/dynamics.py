@@ -31,9 +31,12 @@ from .network import DirectedNetwork, MultiNetworkSystem, single_network_system
 from .stability import PinningPlan
 
 DIVERGENCE_LIMIT = 1e12
-# Steps integrated between divergence checks, and rows per CSV format call.
-# Blocks of 128-512 rows kept peak RSS at the old writer's; 64 raised it ~6 MB.
+# Steps integrated between divergence checks.
 _BLOCK = 256
+# Values per %.17g kernel call.  Its working arrays take ~0.2 kB a value: one
+# multi50-solved round (seed 1) peaked at 43.5 MB RSS with the `%` writer and
+# at 43.9 MB with 4096 values a call (44.9 MB with 8192, 43.9 MB with 2048).
+_CSV_VALUES = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -210,18 +213,214 @@ def lyapunov_series(traj: Trajectory, q: float) -> tuple[np.ndarray, np.ndarray]
     return values, derivative
 
 
+# "%.17g" % v for a whole block of values at once, to the byte.  |v| is scaled
+# by 10**(16 - e), e = floor(log10|v|), held as a double-double, and the product
+# is exact by Dekker's algorithm (Loitsch's Grisu3 idea, PLDI 2010), so the
+# digits D = round(|v| * 10**(16 - e)) are exact wherever the scaled value is
+# not within 1e-9 of a rounding tie.  Those values go to `%` one by one, with
+# +-0, nan, +-inf, subnormals, |v| outside [1e-280, 1e280], and values whose D
+# falls outside [1e16, 1e17): a log10 one off next to a power of ten, or a
+# round-up to 10**17, which needs |v| within a relative 5e-18 of a power of
+# ten, where log10 already reads one over.
+_E_MIN, _E_MAX = -282, 282  # table rows: e for |v| in [1e-280, 1e280], one either side
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split x = hi + lo into halves whose products are exact."""
+    t = x * _VELTKAMP
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**(16 - e) per e as hi + mid + lo: hi + mid the nearest double, split."""
+    near, rest = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        x = num / den  # int / int rounds correctly
+        a, b = x.as_integer_ratio()
+        near.append(x)
+        rest.append((num * b - a * den) / (den * b))
+    return (*_split(np.array(near)), np.array(rest))
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The bytes "dddd" of 0..9999 as one uint32 word each, and their trailing zeros."""
+    n = np.arange(10000)
+    chars = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    zeros = sum((n % 10**k == 0).astype(np.uint8) for k in (1, 2, 3, 4))
+    return chars.astype(np.uint8).view(np.uint32).ravel(), zeros
+
+
+def _ascii_words(strings: list[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(strings), dtype=np.uint32)
+
+
+_P_HI, _P_MID, _P_LO = _pow10_table()
+_DIGITS4, _ZEROS4 = _digit_tables()
+
+# One value's row, 13 words: the separator goes right after its last kept byte.
+#   0-3    "\0\0-d"    d the first digit, '-' kept for negatives
+#   4-19   digits 2-17  the integer part (A)
+#   20-23  "\0-0."      sign, "0" and "." of 0.000ddd
+#   24-43  "000d" and digits 2-17, the fraction (B): its "." overwrites the
+#          digit before it, and the zeros of 0.000ddd sit in front of d
+#   44-51  the exponent, "e+17" to "e-282"
+_W = 52
+_A, _P, _B, _S = 3, 21, 27, 44  # first digit of A, the sign of P, first digit of B, "e"
+_LEAD = _ascii_words([b"\0\0-%d" % i for i in range(10)])
+_SMALL = _ascii_words([b"\0-0."])[0]
+_SUFFIX = _ascii_words([b"%-8s" % (b"e%+03d" % e) for e in range(_E_MIN, _E_MAX + 1)])
+_SUFFIX = _SUFFIX.reshape(-1, 2).T.copy()
+
+
+def _layout_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Kept bytes, '.' byte and separator byte of each value class, and the
+    class of each exponent with 17 digits and a plus sign.
+
+    A class is (form, significant digits 1-17, sign), row
+    (form * 17 + digits - 1) * 2 + negative, where form is 4 + e for the fixed
+    forms (-4 <= e <= 16), 21 for an exponent of two digits and 22 for three.
+    """
+    form = np.arange(23)[:, None, None, None]
+    digits = np.arange(1, 18)[None, :, None, None]
+    neg = np.arange(2)[None, None, :, None] == 1
+    col = np.arange(_W)
+    e = form - 4
+    small = (e < 0) & (form < 21)  # 0.000ddd
+    exp = form >= 21
+    whole = np.where(small, 0, np.where(exp, 1, e + 1))  # digits before the point
+    frac = small | (digits > whole)
+    suffix = np.where(form == 22, 5, 4)
+    sep = np.where(exp, _S + suffix, np.where(frac, _B + digits, _A + whole))
+    keep = (col == sep) | (neg & (col == np.where(small, _P, _A - 1)))
+    keep |= ~small & (col >= _A) & (col < _A + whole)
+    keep |= small & ((col == _P + 1) | (col == _P + 2))
+    keep |= small & (col >= _B + e + 1) & (col < _B)
+    keep |= frac & (col >= _B + np.maximum(whole - 1, 0)) & (col < _B + digits)
+    keep |= exp & (col >= _S) & (col < _S + suffix)
+    dot = np.where(small, _P + 2, _B + whole - 1)
+    rows = keep.shape[:3]
+    exps = np.arange(_E_MIN, _E_MAX + 1)
+    form = np.where((exps >= -4) & (exps <= 16), exps + 4, np.where(abs(exps) < 100, 21, 22))
+    return (
+        keep.reshape(-1, _W),
+        np.broadcast_to(dot, rows + (1,)).ravel(),
+        np.broadcast_to(sep, rows + (1,)).ravel(),
+        34 * form + 32,
+    )
+
+
+_KEEP, _DOT_AT, _SEP_AT, _FORM_ROW = _layout_table()
+
+
+def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D = round(|v| * 10**(16 - e)) for e = floor(log10|v|), e's table row, and
+    the values left to `%`, whose D is 10**16."""
+    a = np.abs(v)
+    bad = ~((a >= 1e-280) & (a <= 1e280))  # also 0, nan and inf
+    a[bad] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e -= _E_MIN
+    row = e.astype(np.intp)
+    # a * 10**(16 - e) = hi + err: a * (ph + pm) exactly (Dekker), plus a * pl
+    ph, pm = _P_HI[row], _P_MID[row]
+    hi = ph + pm
+    hi *= a
+    ah, al = _split(a)
+    err = ah * ph
+    err -= hi
+    ph *= al
+    al *= pm
+    pm *= ah
+    err += pm
+    err += ph
+    err += al
+    a *= _P_LO[row]
+    err += a
+    whole = np.floor(err)
+    err -= whole  # the scaled value's fraction
+    d = hi.astype(np.int64)
+    d += whole.astype(np.int64)
+    bad |= d < 10**16  # log10 one over
+    err -= 0.5
+    d += err > 0
+    bad |= d >= 10**17  # log10 one under, or rounded up to 10**17
+    bad |= np.abs(err) < 1e-9  # too close to a tie to round here
+    d[bad] = 10**16
+    return d, row, bad
+
+
+def _digit_groups(d: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The leading digit of each 17-digit D and its four groups of four."""
+    top = d // 10**8
+    low = d - top * 10**8
+    lead = top // 10**8
+    upper, lower = top // 10**4, low // 10**4
+    return lead, (upper - lead * 10**4, top - upper * 10**4, lower, low - lower * 10**4)
+
+
+def _format_rows(block: np.ndarray, words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The CSV bytes of a (rows, cols) float block, each value as "%.17g" % v.
+
+    ``words`` (values, 13) and ``keep`` (values, 52) are scratch, overwritten.
+    """
+    rows, cols = block.shape
+    v = block.reshape(-1)
+    n = v.size
+    d, row, bad = _digits(v)  # the helpers' temporaries go on return: peak RSS
+    lead, groups = _digit_groups(d)
+    zeros = _ZEROS4[groups[3]]  # trailing zeros, 4 per zero group
+    for count, group in ((4, groups[2]), (8, groups[1]), (12, groups[0])):
+        more = np.flatnonzero(zeros == count)
+        zeros[more] += _ZEROS4[group[more]]
+    np.take(_LEAD, lead, out=words[:, 0])
+    words[:, 5] = _SMALL
+    np.take(_DIGITS4, lead, out=words[:, 6])
+    for j, group in enumerate(groups):
+        np.take(_DIGITS4, group, out=words[:, 7 + j])
+        words[:, 1 + j] = words[:, 7 + j]
+    np.take(_SUFFIX[0], row, out=words[:, 11])
+    np.take(_SUFFIX[1], row, out=words[:, 12])
+    cls = _FORM_ROW[row]
+    cls -= 2 * zeros
+    cls += np.signbit(v)
+    np.take(_KEEP, cls, axis=0, out=keep)
+    dot, sep = _DOT_AT[cls], _SEP_AT[cls]
+    out = words.view(np.uint8)
+    if bad.any():
+        at = np.flatnonzero(bad)
+        text = ["%.17g" % x for x in v[at].tolist()]
+        out[at, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        sep[at] = [len(t) for t in text]
+        keep[at] = np.arange(_W) <= sep[at, None]
+        dot[at] = _W - 1
+    start = np.arange(0, n * _W, _W)
+    flat = out.reshape(-1)
+    flat[start + dot] = ord(".")
+    ends = np.full(cols, ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    flat[(start + sep).reshape(rows, cols)] = ends
+    return out[keep]
+
+
 def _write_series_csv(
     path: str | Path, times: np.ndarray, table: np.ndarray, labels: list[str], stride: int
 ) -> None:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     times, table = times[::stride], table[::stride]
-    line = ",".join(["%.17g"] * (len(labels) + 1)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(labels) + "\n")
-        for start in range(0, len(times), _BLOCK):
-            block = np.column_stack((times[start : start + _BLOCK], table[start : start + _BLOCK]))
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    width = len(labels) + 1
+    step = max(1, _CSV_VALUES // width)
+    words = np.empty((step * width, _W // 4), dtype=np.uint32)
+    keep = np.empty((step * width, _W), dtype=bool)
+    with open(path, "wb") as fh:
+        fh.write(("t," + ",".join(labels) + "\n").encode("utf-8"))
+        for start in range(0, len(times), step):
+            block = np.column_stack((times[start : start + step], table[start : start + step]))
+            fh.write(_format_rows(block, words[: block.size], keep[: block.size]))
 
 
 def export_trajectory_csv(traj: Trajectory, path: str | Path, stride: int = 1) -> None:

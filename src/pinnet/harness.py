@@ -228,7 +228,8 @@ def run_scenario(
     outcome with the simulation skipped, not an error.  ``summary.json`` gets
     the seconds of each layer under ``timings``: ``build_s``, ``search_s``
     (the GA and its reported gains), ``simulate_s`` and ``export_s`` (the
-    CSV files); writing ``summary.json`` itself is outside all four.
+    CSV files); writing ``summary.json`` itself is outside all four.  Next to
+    them, ``export_bytes`` is the size of the CSV files that ``export_s`` wrote.
     """
     started = time.perf_counter()
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
@@ -255,9 +256,11 @@ def run_scenario(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         report.write_csv(out / "ga_report.csv")
+        written = [out / "ga_report.csv"]
         if traj is not None:
             export_trajectory_csv(traj, out / "trajectory.csv")
             export_errors_csv(traj, out / "errors.csv")
+            written += [out / "trajectory.csv", out / "errors.csv"]
     exported = time.perf_counter()
 
     log_term = float(np.log10(terminal)) if terminal > 0.0 else float("nan")
@@ -280,7 +283,12 @@ def run_scenario(
             "simulate_s": simulated - searched,
             "export_s": exported - simulated,
         }
-        summary = {"outcome": outcome.to_dict(), "ga": report.to_dict(), "timings": timings}
+        summary = {
+            "outcome": outcome.to_dict(),
+            "ga": report.to_dict(),
+            "timings": timings,
+            "export_bytes": sum(path.stat().st_size for path in written),
+        }
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

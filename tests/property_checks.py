@@ -5,7 +5,9 @@ violation, so the same functions back both the granular property tests and the
 one-shot acceptance sweep.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from pinnet.dynamics import (
     DIVERGENCE_LIMIT,
     DivergenceError,
     SimulationConfig,
+    _write_series_csv,
     simulate_single,
 )
 from pinnet import ga
@@ -624,6 +627,57 @@ def check_pruned_search_matches_full_search(n_cases: int) -> None:
     assert pruned_cases >= n_cases // 4, pruned_cases
 
 
+def percent_csv(times: np.ndarray, table: np.ndarray, labels: list[str]) -> bytes:
+    """The `%`-tuple block writer the vectorised %.17g kernel replaced, as its oracle."""
+    line = ",".join(["%.17g"] * (len(labels) + 1)) + "\n"
+    out = ["t," + ",".join(labels) + "\n"]
+    for start in range(0, len(times), 256):
+        block = np.column_stack((times[start : start + 256], table[start : start + 256]))
+        out.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(out).encode("utf-8")
+
+
+def _adversarial_floats() -> np.ndarray:
+    """Values at the kernel's edges: powers of ten and their neighbours, exact
+    rounding ties q / 2**j, the fast range's ends, subnormals, zeros, nan, inf."""
+    powers = 10.0 ** np.arange(-307, 309)
+    ties = np.arange(1, 2048, 2)[:, None] / 2.0 ** np.arange(0, 90)[None, :]
+    ends = np.array([1e-280, 1e280, 1e-5, 1e-4, 1e16, 1e17, 2.0**53, 2.0**63])
+    rare = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    pool = np.concatenate([powers, ties.ravel(), ends, rare])
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        return np.concatenate([pool, np.nextafter(pool, 0.0), np.nextafter(pool, np.inf), [np.nan]])
+
+
+def check_csv_kernel_matches_percent(n_cases: int) -> None:
+    """The CSV writer gives the `%` writer's bytes on random blocks.
+
+    Values are random finite bit patterns, decaying states and error norms
+    reaching below the subnormals, or draws from the adversarial set, with
+    random signs; blocks are 1-40 rows of 1-8 columns.
+    """
+    rng = np.random.default_rng(1016)
+    adversarial = _adversarial_floats()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        for i in range(n_cases):
+            shape = (int(rng.integers(1, 41)), int(rng.integers(1, 9)))
+            kind = i % 4
+            if kind == 0:
+                v = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+                v = np.where(np.isfinite(v), v, 1.0)
+            elif kind in (1, 2):
+                t = np.arange(shape[0])[:, None] * rng.uniform(1e-3, 0.5)
+                rates = rng.uniform(0.0, 50.0, size=shape[1])
+                decay = rng.uniform(0.0, 20.0, size=shape[1]) * np.exp(-rates * t)
+                v = decay if kind == 2 else rng.uniform(-200.0, 200.0, size=shape[1]) + decay
+            else:
+                v = rng.choice(adversarial, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            labels = [f"c{j}" for j in range(shape[1] - 1)]
+            _write_series_csv(path, v[:, 0], v[:, 1:], labels, 1)
+            assert path.read_bytes() == percent_csv(v[:, 0], v[:, 1:], labels), (i, v.tolist())
+
+
 ALL_CHECKS = (
     ("laplacian row sums zero", check_laplacian_row_sums),
     ("eigenvalue monotone in gain and pins", check_eigmin_monotone_in_gain_and_pins),
@@ -640,4 +694,5 @@ ALL_CHECKS = (
     ("overlap nodes counted once", check_overlap_nodes_counted_once),
     ("seeded reruns identical", check_seeded_runs_identical),
     ("pruned search matches the full search", check_pruned_search_matches_full_search),
+    ("csv kernel matches %", check_csv_kernel_matches_percent),
 )

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pinnet import dynamics
 from pinnet.dynamics import (
     _BLOCK,
     DivergenceError,
@@ -290,21 +291,28 @@ class TestCsvExport:
     @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_block_writer_matches_fstring_writer(self, tmp_path, m, stride, rows):
+    def test_block_writer_matches_fstring_writer(self, tmp_path, monkeypatch, m, stride, rows):
         n = 3
+        # trajectory.csv is written _BLOCK rows a call, so the row counts straddle a call
+        monkeypatch.setattr(dynamics, "_CSV_VALUES", _BLOCK * (1 + n * m))
         samples = (rows - 1) * stride + 1
         rng = np.random.default_rng(rows + 10 * stride + 100 * m)
         states = rng.normal(0.0, 50.0, size=(samples, n, m))
-        special = [-0.0, 5e-324, 1e17, -1e17, -2.5, 1.0 / 3.0, -5e-324, 0.0]
+        special = [
+            -0.0, 5e-324, 1e17, -1e17, -2.5, 1.0 / 3.0, -5e-324, 0.0,
+            9.9999999999999991e-05, np.nextafter(100.0, 0.0), 1e-5, 1e-4, 1e16,
+            1e23, -1e-100, 1e200, np.nan, np.inf, -np.inf,
+        ]
         flat = states.reshape(-1)
         flat[: min(len(special), flat.size)] = special[: flat.size]
         errors = np.abs(rng.normal(0.0, 1.0, size=(samples, n)))
+        errors.reshape(-1)[-len(special) :] = np.abs(special[: errors.size])
         errors[0, 0] = -0.0
         traj = Trajectory(
             times=np.arange(samples) * 1e-3,
             states=states,
             errors=errors,
-            lyapunov=np.sum(errors * errors, axis=1),
+            lyapunov=np.zeros(samples),  # in neither CSV
         )
         if m == 1:
             labels = [f"node_{i}" for i in range(n)]

@@ -152,6 +152,15 @@ class TestRunScenario:
         assert timings["export_s"] >= 0.2
         assert sum(timings.values()) <= out.wall_clock_s
 
+    def test_export_bytes_are_the_csv_sizes(self, tmp_path):
+        run_scenario(tiny_multi(), out_dir=tmp_path)
+        csvs = sorted(path.name for path in tmp_path.glob("*.csv"))
+        assert csvs == ["errors.csv", "ga_report.csv", "trajectory.csv"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["export_bytes"] == sum(
+            (tmp_path / name).stat().st_size for name in csvs
+        )
+
     def test_infeasible_is_outcome_not_error(self, tmp_path):
         # no edges and a gain cap below delta/2: nothing can certify
         sc = tiny_single()
@@ -165,7 +174,8 @@ class TestRunScenario:
         assert out.convergence_time is None
         assert np.isnan(out.terminal_max_error)
         assert not (tmp_path / "trajectory.csv").exists()
-        assert (tmp_path / "summary.json").exists()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["export_bytes"] == (tmp_path / "ga_report.csv").stat().st_size
 
 
 class TestRunBatch:
