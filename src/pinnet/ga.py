@@ -1,12 +1,15 @@
 """Genetic search over binary pinning sets with a stability-violation penalty.
 
-A chromosome is one uint8 row with one gene per (member network, node) pair:
-network k owns one fixed block of columns (``_columns``), and gene i of that
-block says whether the network's node i is pinned inside it.  Fitness counts
-the distinct pinned nodes (an overlap node pinned in several networks counts
-once) and, when any network's certificate fails, adds penalty_coeff times the
-summed stability violation xi, so the population is pulled toward certifiable
-sets while minimizing their size.
+A chromosome is one uint8 row with one gene per vehicle (global node): gene j
+says whether node j is pinned, and network k reads its pins as
+``row[net.node_ids]``.  A pinned overlap vehicle therefore gets feedback in
+each of its networks, each at that network's own solved gain.  Pinning a node
+in all of its networks keeps the count and can only raise each network's
+lambda_min, so this search still holds the best plans that pin a node in some
+of its networks only.  Fitness counts the pinned nodes and, when any
+network's certificate fails, adds penalty_coeff times the summed stability
+violation xi, so the population is pulled toward certifiable sets while
+minimizing their size.
 
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
@@ -19,18 +22,17 @@ alone proves that it can neither survive truncation nor become the best
 feasible find: fitness is at least the pinned count, so such a child is
 dropped untested, which changes no population, series or reported plan.
 Beyond the current generation, the run keeps only the best feasible row it
-has seen.  Only the reported chromosomes are split into per-network gene
+has seen.  Only the reported chromosomes are read out as per-network gene
 vectors and get gains.
 
 The certificate tests go through one ``CertificateTest`` per network, built once
 per search at the search gain.  Each generation is scored with one call per
-network on its block of the gene matrix: a Cholesky factor settles a feasible
-set, and only the sets it rejects are eigensolved.
+network on that network's columns of the gene matrix: a Cholesky factor
+settles a feasible set, and only the sets it rejects are eigensolved.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -95,15 +97,9 @@ class Individual:
         return self.xi == 0.0
 
 
-def _columns(sys: MultiNetworkSystem) -> list[slice]:
-    """Each network's block of columns in a chromosome row, in network order."""
-    stops = list(itertools.accumulate(net.n for net in sys.networks))
-    return [slice(stop - net.n, stop) for stop, net in zip(stops, sys.networks)]
-
-
 def _individual(sys: MultiNetworkSystem, genes: np.ndarray, fit, count, xi) -> Individual:
     """A chromosome row as reported: one gene vector per network."""
-    split = tuple(genes[cols] for cols in _columns(sys))
+    split = tuple(genes[net.node_ids] for net in sys.networks)
     return Individual(genes=split, fitness=float(fit), pinned_count=int(count), xi=float(xi))
 
 
@@ -148,23 +144,19 @@ def _violations(
     """Each row's xi: the networks' violations summed in network order, one call each."""
     xi = np.zeros(len(genes))
     if len(genes):
-        for test, cols in zip(tests, _columns(sys)):
-            xi += test.xis(genes[:, cols])
+        for test, net in zip(tests, sys.networks):
+            xi += test.xis(genes[:, net.node_ids])
     return xi
 
 
 def _pinned_counts(genes: np.ndarray, sys: MultiNetworkSystem) -> np.ndarray:
-    """Distinct pinned nodes per row: each network's block ORed into a (B, N) array."""
-    columns = _columns(sys)
-    if genes.ndim != 2 or genes.shape[1] != columns[-1].stop:
+    """Pinned nodes per row: its gene sum, each overlap node being one gene."""
+    if genes.ndim != 2 or genes.shape[1] != sys.total_nodes:
         raise ValueError(
             f"chromosome rows of shape {genes.shape[1:]} do not match the system: "
-            f"they need {columns[-1].stop} genes, one block of columns per network"
+            f"they need {sys.total_nodes} genes, one gene per node"
         )
-    pinned = np.zeros((len(genes), sys.total_nodes), dtype=bool)
-    for net, cols in zip(sys.networks, columns):
-        pinned[:, net.node_ids] |= genes[:, cols] == 1
-    return pinned.sum(axis=1)
+    return genes.sum(axis=1, dtype=np.int64)
 
 
 def _cannot_matter(
@@ -203,7 +195,7 @@ def init_population(
     cfg: GaConfig, sys: MultiNetworkSystem, rng: np.random.Generator
 ) -> np.ndarray:
     """population_size chromosome rows with each gene ~ Bernoulli(p_d)."""
-    shape = (cfg.population_size, _columns(sys)[-1].stop)
+    shape = (cfg.population_size, sys.total_nodes)
     return (rng.random(shape) < cfg.init_prob).astype(np.uint8)
 
 
@@ -364,7 +356,7 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     """
     rng = np.random.default_rng(cfg.rng_seed)
     tests = _certificate_tests(sys, cfg)
-    genes = np.zeros((0, _columns(sys)[-1].stop), dtype=np.uint8)
+    genes = np.zeros((0, sys.total_nodes), dtype=np.uint8)
     counts, xi = np.zeros(0, dtype=np.int64), np.zeros(0)
     best: Optional[tuple[int, np.ndarray]] = None  # (pinned count, row) of the best feasible find
     tested = pruned = 0

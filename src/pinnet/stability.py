@@ -70,14 +70,8 @@ class FeasibilityResult:
 
 
 def _as_pin_vector(d_hat: np.ndarray, n: int) -> np.ndarray:
-    """Accept a 0/1 vector or diagonal matrix of pin indicators."""
+    """A 0/1 vector of pin indicators as float64, checked against n."""
     d = np.asarray(d_hat, dtype=np.float64)
-    if d.ndim == 2:
-        if d.shape != (n, n):
-            raise ValueError(f"pin matrix shape {d.shape} does not match n={n}")
-        if np.any(d != np.diag(np.diagonal(d))):
-            raise ValueError("pin matrix must be diagonal")
-        d = np.diagonal(d).copy()
     if d.shape != (n,):
         raise ValueError(f"pin vector length {d.shape} does not match n={n}")
     if np.any((d != 0.0) & (d != 1.0)):

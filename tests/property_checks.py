@@ -544,20 +544,43 @@ def _random_overlap_system(rng):
 
 
 def check_overlap_nodes_counted_once(n_cases: int) -> None:
+    """A node row counts each pinned node once and loses no pair-level plan.
+
+    Each case draws a random overlap system and delta in [0.1, 3].  A random
+    node row must score its gene sum as the pinned count, give network k the
+    genes ``row[net.node_ids]``, and score that count when feasible.  A random
+    pair-level plan (each network pins its own nodes) and its closure, which
+    pins a node in all its networks when any of them pins it, must pin the
+    same distinct nodes; each network's xi at c_max under the closure must be
+    0 where the pair plan's is, and never larger.
+    """
     rng = np.random.default_rng(1009)
-    cfg = GaConfig(stability=StabilityParams(delta=1.0))
-    for _ in range(n_cases):
+    for i in range(n_cases):
         sys = _random_overlap_system(rng)
-        genes = tuple(
-            (rng.random(net.n) < 0.5).astype(np.uint8) for net in sys.networks
-        )
-        ind = fitness(np.concatenate(genes), sys, cfg)
-        pinned_anywhere = set()
-        for net, g in zip(sys.networks, genes):
-            pinned_anywhere.update(int(i) for i, b in zip(net.node_ids, g) if b)
-        assert ind.pinned_count == len(pinned_anywhere)
+        params = StabilityParams(delta=float(rng.uniform(0.1, 3.0)))
+        cfg = GaConfig(stability=params)
+        row = (rng.random(sys.total_nodes) < 0.5).astype(np.uint8)
+        ind = fitness(row, sys, cfg)
+        assert ind.pinned_count == row.sum(), i
+        for net, g in zip(sys.networks, ind.genes):
+            assert np.array_equal(g, row[net.node_ids]), i
         if ind.feasible:
-            assert ind.fitness == float(ind.pinned_count)
+            assert ind.fitness == float(ind.pinned_count), i
+
+        pairs = [rng.random(net.n) < 0.5 for net in sys.networks]
+        pinned_anywhere = set()
+        for net, g in zip(sys.networks, pairs):
+            pinned_anywhere.update(net.node_ids[g].tolist())
+        closure = np.zeros(sys.total_nodes, dtype=np.uint8)
+        closure[sorted(pinned_anywhere)] = 1
+        assert fitness(closure, sys, cfg).pinned_count == len(pinned_anywhere), i
+        for net, g in zip(sys.networks, pairs):
+            test = CertificateTest(
+                net.lap.symmetric_part, net.coupling_strength, net.gamma, params.c_max, params
+            )
+            pair_xi = test.xi(g.astype(np.float64))
+            closed_xi = test.xi(closure[net.node_ids].astype(np.float64))
+            assert closed_xi <= pair_xi, (i, pair_xi, closed_xi)
 
 
 def check_seeded_runs_identical(n_cases: int) -> None:

@@ -330,6 +330,25 @@ class TestCsvExport:
             times, errors[::stride], [f"node_{i}" for i in range(n)]
         )
 
+    def test_log10_one_under_at_powers_of_ten_goes_to_percent(self, monkeypatch):
+        # numpy's log10 may read one ulp under at an exact power of ten on some
+        # platforms; D then reaches 10**17, and only the d >= 10**17 guard in
+        # _digits hands the value to %
+        def log10(a):
+            e = np.log10(a)
+            return np.where(e == np.floor(e), np.nextafter(e, -np.inf), e)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return log10 if name == "log10" else getattr(np, name)
+
+        monkeypatch.setattr(dynamics, "np", Numpy())
+        values = np.array([[1e2, 1e5, 1e-3, 10.0, 1e16, 3.5]])
+        words = np.empty((values.size, dynamics._W // 4), dtype=np.uint32)
+        keep = np.empty((values.size, dynamics._W), dtype=bool)
+        text = dynamics._format_rows(values, words, keep).tobytes()
+        assert text == (",".join("%.17g" % v for v in values[0]) + "\n").encode()
+
     def test_stride_validation(self, tmp_path):
         traj = simulate_single(
             scalar_net(), np.ones(1), 1.0, np.array([6.0]), SimulationConfig(horizon=0.01)

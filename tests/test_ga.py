@@ -61,7 +61,7 @@ class TestInitPopulation:
         for p, value in ((0.0, 0), (1.0, 1)):
             cfg = GaConfig(population_size=5, init_prob=p)
             pop = init_population(cfg, sys, rng)
-            assert pop.shape == (5, 6) and pop.dtype == np.uint8
+            assert pop.shape == (5, 5) and pop.dtype == np.uint8
             assert np.all(pop == value)
 
     def test_binomial_mean_pinned_count(self):
@@ -70,18 +70,6 @@ class TestInitPopulation:
         pop = init_population(cfg, sys, np.random.default_rng(42))
         counts = pop.sum(axis=1, dtype=float)
         assert abs(counts.mean() - 10.0) <= 0.3
-
-    def test_one_draw_per_gene_in_row_order(self):
-        # the same random stream as drawing each chromosome's networks in turn
-        sys = overlap_system()
-        cfg = GaConfig(population_size=4, init_prob=0.4)
-        pop = init_population(cfg, sys, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        looped = [
-            np.concatenate([rng.random(net.n) < 0.4 for net in sys.networks])
-            for _ in range(cfg.population_size)
-        ]
-        assert np.array_equal(pop, np.array(looped, dtype=np.uint8))
 
 
 class TestFitness:
@@ -126,8 +114,8 @@ class TestFitness:
 
     def test_overlap_node_counted_once(self):
         sys = overlap_system()
-        # node 2 is the last gene of network 0 and the first of network 1
-        ind = fitness(genes(0, 0, 1, 1, 0, 0), sys, GaConfig())
+        # node 2 is the last node of network 0 and the first of network 1
+        ind = fitness(genes(0, 0, 1, 0, 0), sys, GaConfig())
         assert ind.pinned_count == 1
         assert [g.tolist() for g in ind.genes] == [[0, 0, 1], [1, 0, 0]]
 
@@ -139,11 +127,11 @@ class TestFitness:
     def test_gene_arrays_must_match_the_networks(self):
         sys = build_system(builtin_scenario("multi-50"))
         cfg = GaConfig()
-        total = sum(net.n for net in sys.networks)  # 35 + 25 + 25 genes
+        total = sys.total_nodes  # 50 genes for networks of 35, 25 and 25 nodes
         whole = np.ones(total, dtype=np.uint8)
-        assert fitness(whole, sys, cfg).pinned_count == sys.total_nodes
-        for size in (35, 60, total + 35, total - 1):
-            with pytest.raises(ValueError, match="one block of columns per network"):
+        assert fitness(whole, sys, cfg).pinned_count == total
+        for size in (35, 85, total + 35, total - 1):
+            with pytest.raises(ValueError, match="one gene per node"):
                 fitness(np.ones(size, dtype=np.uint8), sys, cfg)
         with pytest.raises(ValueError):
             fitness(np.ones((1, total), dtype=np.uint8), sys, cfg)
@@ -152,7 +140,7 @@ class TestFitness:
         sys = overlap_system(seed=1)
         tests = ga._certificate_tests(sys, GaConfig())
         monkeypatch.setattr(CertificateTest, "xis", lambda *a: pytest.fail("xis called"))
-        xi = ga._violations(np.zeros((0, 6), dtype=np.uint8), tests, sys)
+        xi = ga._violations(np.zeros((0, 5), dtype=np.uint8), tests, sys)
         assert xi.shape == (0,)
 
     def test_gene_outside_zero_one_rejected(self):
@@ -366,15 +354,13 @@ class TestEvolve:
             return draw(cfg, sys, rng)[:, : sys.networks[0].n]
 
         monkeypatch.setattr(ga, "init_population", short)
-        with pytest.raises(ValueError, match="one block of columns per network"):
+        with pytest.raises(ValueError, match="one gene per node"):
             evolve(self._cfg(), sys)
 
     def test_seeded_multi50_reports_match_the_recording(self):
-        # Recorded before generations were scored in one call per network and
-        # bred from one draw per chromosome: the random stream, the verdicts
-        # and the fitness values must not move.  Only the work counters
-        # (lmi_evaluations, eigensolves, pruned) were re-recorded when
-        # offspring that cannot matter stopped being tested.
+        # Recorded when a chromosome became one gene per node: the random
+        # stream, the verdicts, the fitness values and the work counters
+        # (lmi_evaluations, eigensolves, pruned) must not move.
         sc = builtin_scenario("multi-50")
         sys = build_system(sc)
         cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7)
@@ -432,106 +418,106 @@ class TestEvolve:
 
 
 # evolve(...).to_dict() for built-in multi-50 (trial 0), population 20, 5 generations, seed 7.
-RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 19.0,
-                                         'best_fitness_series': [22.0,
-                                                                 20.0,
-                                                                 20.0,
-                                                                 19.0,
-                                                                 19.0,
-                                                                 19.0],
-                                         'best_gains': [23.542543984422654,
-                                                        31.40094756477618,
-                                                        20.35808725790079],
-                                         'best_genes': ['00100010001011001001010000000000101',
-                                                        '1010000000001001001001011',
-                                                        '0001001101011001100000000'],
+RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 12.0,
+                                         'best_fitness_series': [15.0,
+                                                                 15.0,
+                                                                 15.0,
+                                                                 12.0,
+                                                                 12.0,
+                                                                 12.0],
+                                         'best_gains': [34.89843017359583,
+                                                        37.77906871082658,
+                                                        19.71840475595923],
+                                         'best_genes': ['00000001001000111000000001000100000',
+                                                        '0000010010000000011000101',
+                                                        '0000000111001100001100100'],
                                          'best_is_feasible': True,
-                                         'best_pinned_count': 19,
-                                         'best_pinned_count_series': [22, 20, 20, 19, 19, 19],
+                                         'best_pinned_count': 12,
+                                         'best_pinned_count_series': [15, 15, 15, 12, 12, 12],
                                          'best_xi': 0.0,
-                                         'eigensolves': 52,
-                                         'feasible_best': {'gains': [23.542543984422654,
-                                                                     31.40094756477618,
-                                                                     20.35808725790079],
-                                                           'genes': ['00100010001011001001010000000000101',
-                                                                     '1010000000001001001001011',
-                                                                     '0001001101011001100000000'],
-                                                           'pinned_count': 19},
-                                         'feasible_fraction_series': [0.25,
-                                                                      0.7,
+                                         'eigensolves': 38,
+                                         'feasible_best': {'gains': [34.89843017359583,
+                                                                     37.77906871082658,
+                                                                     19.71840475595923],
+                                                           'genes': ['00000001001000111000000001000100000',
+                                                                     '0000010010000000011000101',
+                                                                     '0000000111001100001100100'],
+                                                           'pinned_count': 12},
+                                         'feasible_fraction_series': [0.35,
                                                                       0.95,
                                                                       0.95,
                                                                       1.0,
-                                                                      1.0],
+                                                                      1.0,
+                                                                      0.95],
                                          'generations': [0, 1, 2, 3, 4, 5],
-                                         'lmi_evaluations': 291,
-                                         'mean_fitness_series': [52.47163228731033,
-                                                                 26.634713791188197,
-                                                                 24.51499787462016,
-                                                                 22.696309501427244,
-                                                                 22.05,
-                                                                 21.65],
-                                         'pruned': 23},
-                    'one_point': {'best_fitness': 21.0,
-                                  'best_fitness_series': [22.0, 22.0, 22.0, 22.0, 21.0, 21.0],
-                                  'best_gains': [23.26710093192958,
-                                                 28.36395043137417,
-                                                 25.441875912865125],
-                                  'best_genes': ['00010000000110001000110110000001110',
-                                                 '1010110000010000010110000',
-                                                 '0001000101101001011000000'],
+                                         'lmi_evaluations': 279,
+                                         'mean_fitness_series': [53.19525350252504,
+                                                                 17.361677967072552,
+                                                                 16.22195762825131,
+                                                                 15.7,
+                                                                 15.1,
+                                                                 14.01484042506328],
+                                         'pruned': 27},
+                    'one_point': {'best_fitness': 13.0,
+                                  'best_fitness_series': [15.0, 14.0, 14.0, 14.0, 13.0, 13.0],
+                                  'best_gains': [23.62998998602087,
+                                                 31.073474720741114,
+                                                 15.797991657832254],
+                                  'best_genes': ['00011001001000000110000111010000000',
+                                                 '0001110000011010100000000',
+                                                 '0001100101000010111101000'],
                                   'best_is_feasible': True,
-                                  'best_pinned_count': 21,
-                                  'best_pinned_count_series': [22, 22, 22, 22, 21, 21],
+                                  'best_pinned_count': 13,
+                                  'best_pinned_count_series': [15, 14, 14, 14, 13, 13],
                                   'best_xi': 0.0,
-                                  'eigensolves': 29,
-                                  'feasible_best': {'gains': [23.26710093192958,
-                                                              28.36395043137417,
-                                                              25.441875912865125],
-                                                    'genes': ['00010000000110001000110110000001110',
-                                                              '1010110000010000010110000',
-                                                              '0001000101101001011000000'],
-                                                    'pinned_count': 21},
-                                  'feasible_fraction_series': [0.25, 0.8, 0.95, 1.0, 1.0, 1.0],
+                                  'eigensolves': 48,
+                                  'feasible_best': {'gains': [23.62998998602087,
+                                                              31.073474720741114,
+                                                              15.797991657832254],
+                                                    'genes': ['00011001001000000110000111010000000',
+                                                              '0001110000011010100000000',
+                                                              '0001100101000010111101000'],
+                                                    'pinned_count': 13},
+                                  'feasible_fraction_series': [0.35, 0.8, 0.95, 1.0, 1.0, 1.0],
                                   'generations': [0, 1, 2, 3, 4, 5],
-                                  'lmi_evaluations': 243,
-                                  'mean_fitness_series': [52.47163228731033,
-                                                          25.458861311465935,
-                                                          23.72065000010531,
-                                                          22.9,
-                                                          22.5,
-                                                          22.25],
-                                  'pruned': 39},
-                    'uniform': {'best_fitness': 19.0,
-                                'best_fitness_series': [22.0, 20.0, 20.0, 19.0, 19.0, 19.0],
-                                'best_gains': [35.737745534816256,
-                                               29.206566338650216,
-                                               17.065497730376777],
-                                'best_genes': ['01000110000000100000000100000010010',
-                                               '0110010101000010000000010',
-                                               '0000010101010000010111010'],
+                                  'lmi_evaluations': 303,
+                                  'mean_fitness_series': [53.19525350252504,
+                                                          19.36123171968171,
+                                                          17.551398305893795,
+                                                          15.85,
+                                                          15.1,
+                                                          14.5],
+                                  'pruned': 19},
+                    'uniform': {'best_fitness': 12.0,
+                                'best_fitness_series': [15.0, 15.0, 15.0, 12.0, 12.0, 12.0],
+                                'best_gains': [34.89843017359583,
+                                               37.77906871082658,
+                                               19.71840475595923],
+                                'best_genes': ['00000001001000111000000001000100000',
+                                               '0000010010000000011000101',
+                                               '0000000111001100001100100'],
                                 'best_is_feasible': True,
-                                'best_pinned_count': 19,
-                                'best_pinned_count_series': [22, 20, 20, 19, 19, 19],
+                                'best_pinned_count': 12,
+                                'best_pinned_count_series': [15, 15, 15, 12, 12, 12],
                                 'best_xi': 0.0,
-                                'eigensolves': 48,
-                                'feasible_best': {'gains': [35.737745534816256,
-                                                            29.206566338650216,
-                                                            17.065497730376777],
-                                                  'genes': ['01000110000000100000000100000010010',
-                                                            '0110010101000010000000010',
-                                                            '0000010101010000010111010'],
-                                                  'pinned_count': 19},
-                                'feasible_fraction_series': [0.25, 0.7, 0.9, 0.9, 0.95, 1.0],
+                                'eigensolves': 38,
+                                'feasible_best': {'gains': [34.89843017359583,
+                                                            37.77906871082658,
+                                                            19.71840475595923],
+                                                  'genes': ['00000001001000111000000001000100000',
+                                                            '0000010010000000011000101',
+                                                            '0000000111001100001100100'],
+                                                  'pinned_count': 12},
+                                'feasible_fraction_series': [0.35, 0.95, 0.95, 1.0, 1.0, 0.95],
                                 'generations': [0, 1, 2, 3, 4, 5],
-                                'lmi_evaluations': 297,
-                                'mean_fitness_series': [52.47163228731033,
-                                                        26.220594825990162,
-                                                        23.517077053405423,
-                                                        22.446574079863204,
-                                                        21.696427053300116,
-                                                        20.8],
-                                'pruned': 21}}
+                                'lmi_evaluations': 279,
+                                'mean_fitness_series': [53.19525350252504,
+                                                        17.351398305893795,
+                                                        16.201398305893797,
+                                                        15.7,
+                                                        15.1,
+                                                        14.007420212531638],
+                                'pruned': 27}}
 
 # evolve(...).to_dict() for built-in single-50 (trial 0), fixed gain 5.0, population 20,
 # 5 generations, seed 7.

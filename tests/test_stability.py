@@ -53,12 +53,6 @@ class TestStabilityMatrix:
         m = stability_matrix(l_sym, np.ones(5), 0.7, 0.0, 1.3)
         assert np.allclose(m, 2.0 * 0.7 * 1.3 * l_sym, atol=1e-15)
 
-    def test_accepts_diagonal_matrix_form(self):
-        l_sym = np.zeros((3, 3))
-        m_vec = stability_matrix(l_sym, np.array([1.0, 0.0, 1.0]), 1.0, 2.0, 1.0)
-        m_mat = stability_matrix(l_sym, np.diag([1.0, 0.0, 1.0]), 1.0, 2.0, 1.0)
-        assert np.array_equal(m_vec, m_mat)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="does not match"):
             stability_matrix(np.zeros((3, 3)), np.ones(2), 1.0, 1.0, 1.0)
