@@ -19,10 +19,10 @@ feasible sets, which is what makes it usable as a search penalty.
 
 The search tests many pin sets of one network at one gain through a
 ``CertificateTest``: it forms 2*C*gamma*L_s once, takes a whole generation's
-pin sets as one (B, n) matrix and tests each in one reusable n x n buffer,
-settles a set as feasible when M - (delta/q + tol)*I has a Cholesky factor,
-and eigensolves only the sets that test rejects, which need the spectrum for
-xi anyway.
+pin sets as one (B, n) matrix and factors them a chunk at a time in one
+reusable (CHUNK_ROWS, n, n) stack, settles a set as feasible when
+M - (delta/q + tol)*I has a Cholesky factor, and eigensolves only the sets
+that test rejects, which need the spectrum for xi anyway.
 """
 
 from __future__ import annotations
@@ -32,10 +32,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# np.linalg.cholesky raises for a whole stack when any one matrix has no factor.
+# Its gufunc (the same LAPACK call on the same bits) instead returns that
+# matrix as NaN when the invalid flag is ignored, so a stack of pin sets is
+# tested in one call.  numpy has shipped it under this name since 1.8; this is
+# the only place pinnet reaches into numpy's internals.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+
 from .network import MultiNetworkSystem
 
 SYMMETRY_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
+# Pin sets a CertificateTest factors per call: a stack of 0.3 MB at the 35
+# rows of a multi-50 network and 1.25 MB at the 70 rows of a multi-100 one.
+CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -173,11 +183,12 @@ class CertificateTest:
 
     2*C*gamma*L_s is formed and checked once, with the two values each
     diagonal entry of M (and of M - shift*I) can take: unpinned and pinned.
-    ``xis`` tests a (B, n) matrix of pin sets in one reusable n x n buffer that
-    holds the off-diagonal part: a row is feasible, with xi = 0 and no
-    spectrum, when M - (delta/q + tol)*I has a Cholesky factor; every other
-    row is eigensolved, which gives ``check_gain``'s verdict and xi.
-    ``eigensolves`` counts those fall-throughs.
+    ``xis`` tests a (B, n) matrix of pin sets CHUNK_ROWS at a time in one
+    reusable (CHUNK_ROWS, n, n) stack that holds the off-diagonal part: a row
+    is feasible, with xi = 0 and no spectrum, when M - (delta/q + tol)*I has a
+    Cholesky factor; every other row of the chunk is eigensolved in one
+    stacked call, which gives ``check_gain``'s verdict and xi.
+    ``eigensolves`` counts those fall-throughs, one per matrix.
 
     A floating-point Cholesky factor of M - s*I proves M >= s*I only up to a
     rounding term that grows like (n+1)*eps times the size of M (Rump,
@@ -209,40 +220,42 @@ class CertificateTest:
         lift = gain * (2.0 * gamma * np.array([[0.0], [1.0]]))
         self._m_diag = np.diagonal(base) + lift
         self._shifted_diag = self._m_diag - shift
-        # numpy's LAPACK wrappers copy their argument, so only the diagonal
-        # of the buffer changes from one row to the next.
-        self._buffer = np.ascontiguousarray(base)
-        self._diagonal = self._buffer.reshape(-1)[:: n + 1]
+        # The LAPACK gufuncs copy their argument, so only the diagonals of
+        # the stack change from one chunk to the next.
+        self._stack = np.repeat(base[np.newaxis], CHUNK_ROWS, axis=0)
+        self._diagonals = self._stack.reshape(CHUNK_ROWS, n * n)[:, :: n + 1]
         self._params = params
         self.eigensolves = 0
 
     def xi(self, d_hat: np.ndarray) -> float:
         """The pin set's violation at the gain; zero exactly when it certifies."""
-        return float(self.xis(_as_pin_vector(d_hat, len(self._buffer))[np.newaxis])[0])
+        n = self._stack.shape[1]
+        return float(self.xis(_as_pin_vector(d_hat, n)[np.newaxis])[0])
 
     def xis(self, pins: np.ndarray) -> np.ndarray:
         """Each row's violation at the gain, for a (B, n) 0/1 matrix of pin sets."""
         pins = np.asarray(pins)
-        n = len(self._buffer)
+        n = self._stack.shape[1]
         if pins.ndim != 2 or pins.shape[1] != n:
             raise ValueError(f"pin rows shape {pins.shape} does not match n={n}")
         pinned = pins == 1
         if not np.all(pinned | (pins == 0)):
             raise ValueError("pin indicators must be 0 or 1")
         shifted = np.where(pinned, self._shifted_diag[1], self._shifted_diag[0])
-        failed, spectra = [], []
-        for row, diagonal in enumerate(shifted):
-            self._diagonal[:] = diagonal
-            try:
-                np.linalg.cholesky(self._buffer)
-            except np.linalg.LinAlgError:
-                self._diagonal[:] = np.where(pinned[row], self._m_diag[1], self._m_diag[0])
-                failed.append(row)
-                spectra.append(np.linalg.eigvalsh(self._buffer))
         xi = np.zeros(len(pins))
-        if failed:
-            self.eigensolves += len(failed)
-            xi[failed] = _shortfall_norm(np.array(spectra), self._params.delta, self._params.q)
+        for start in range(0, len(pins), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            chunk = shifted[rows]
+            stack, diagonals = self._stack[: len(chunk)], self._diagonals[: len(chunk)]
+            diagonals[:] = chunk
+            with np.errstate(invalid="ignore"):
+                factors = _cholesky_lo(stack, signature="d->d")
+            failed = np.flatnonzero(np.isnan(np.diagonal(factors, axis1=1, axis2=2)).any(axis=1))
+            if failed.size:
+                diagonals[failed] = np.where(pinned[rows][failed], self._m_diag[1], self._m_diag[0])
+                spectra = np.linalg.eigvalsh(stack[failed])
+                xi[start + failed] = _shortfall_norm(spectra, self._params.delta, self._params.q)
+                self.eigensolves += failed.size
         return xi
 
 

@@ -29,6 +29,7 @@ from pinnet.network import (
     single_network_system,
 )
 from pinnet.stability import (
+    CHUNK_ROWS,
     CertificateTest,
     FeasibilityResult,
     StabilityParams,
@@ -390,6 +391,76 @@ def check_generation_verdicts_match_check_gain(n_cases: int) -> None:
     assert seen[True] > 0 and seen[False] > 0
 
 
+def row_loop_xis(l_sym, coupling, gamma, gain, params, pins):
+    """The per-row loop ``CertificateTest.xis`` ran before it factored stacks, as its oracle.
+
+    Each row's shifted diagonal goes into one n x n buffer that
+    ``np.linalg.cholesky`` factors; a row with no factor gets its unshifted
+    diagonal back and is eigensolved alone.  Returns each row's xi and the
+    number of eigensolves.
+    """
+    base = 2.0 * coupling * gamma * l_sym
+    n = len(base)
+    eps = float(np.finfo(np.float64).eps)
+    norm_bound = float(np.linalg.norm(base)) + 2.0 * gamma * gain * n**0.5
+    shift = params.delta / params.q + (n + 1) * eps * norm_bound
+    m_diag = np.diagonal(base) + gain * (2.0 * gamma * np.array([[0.0], [1.0]]))
+    shifted_diag = m_diag - shift
+    buffer = base.copy()
+    diagonal = buffer.reshape(-1)[:: n + 1]
+    xi, eigensolves = np.zeros(len(pins)), 0
+    for row, pinned in enumerate(pins == 1):
+        diagonal[:] = np.where(pinned, shifted_diag[1], shifted_diag[0])
+        try:
+            np.linalg.cholesky(buffer)
+        except np.linalg.LinAlgError:
+            diagonal[:] = np.where(pinned, m_diag[1], m_diag[0])
+            short = np.clip(params.delta - params.q * np.linalg.eigvalsh(buffer), 0.0, None)
+            xi[row] = np.sqrt(np.sum(short * short))
+            eigensolves += 1
+    return xi, eigensolves
+
+
+def check_stacked_certificate_matches_row_loop(n_cases: int) -> None:
+    """Stacked Cholesky and eigvalsh calls give the per-row loop's xi to the bit.
+
+    Graphs range over n = 1..70 and batches over 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+    CHUNK_ROWS + 1 and 2 * CHUNK_ROWS + 3 rows, tested at gain 0, a gain in
+    [0, c_max] and c_max.  Each batch holds random pin sets, each node pinned
+    with one probability drawn from [0.2, 1], a row that pins nothing and a
+    row that pins everything (the last wins in a batch of one).  Batches
+    of more than one chunk reuse the stack after an eigensolve has put
+    unshifted diagonals into it.  Every xi must equal the oracle's bit for
+    bit, and the eigensolve count must match.
+    """
+    rng = np.random.default_rng(1017)
+    sizes = (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3)
+    seen = {True: 0, False: 0}
+    for i in range(n_cases):
+        g = _random_graph(rng, 1, 70)
+        n = g.shape[0]
+        l_sym = laplacian(g).symmetric_part
+        coupling = float(rng.uniform(0.3, 3.0))
+        gamma = float(rng.uniform(0.3, 3.0))
+        params = StabilityParams(
+            delta=float(rng.uniform(0.2, 4.0)),
+            q=float(rng.uniform(0.5, 2.0)),
+            c_max=float(rng.uniform(0.5, 20.0)),
+        )
+        gain = (0.0, float(rng.uniform(0.0, params.c_max)), params.c_max)[i % 3]
+        pins = (rng.random((sizes[i % 5], n)) < rng.uniform(0.2, 1.0)).astype(np.uint8)
+        pins[rng.integers(len(pins))] = 0
+        pins[rng.integers(len(pins))] = 1
+        want, eigensolves = row_loop_xis(l_sym, coupling, gamma, gain, params, pins)
+        test = CertificateTest(l_sym, coupling, gamma, gain, params)
+        case = (i, n, len(pins), gain, params)
+        assert test.xis(pins).tobytes() == want.tobytes(), case
+        assert test.eigensolves == eigensolves, case
+        seen[True] += int(np.sum(want == 0.0))
+        seen[False] += int(np.sum(want > 0.0))
+    assert seen[True] > 0 and seen[False] > 0
+
+
 def _certified_single_case(rng, n_lo=2, n_hi=5):
     """A network with pins and a solved gain whose certificate holds."""
     g = _random_graph(rng, n_lo, n_hi)
@@ -709,6 +780,7 @@ ALL_CHECKS = (
     ("exact gain matches bisection", check_exact_gain_matches_bisection),
     ("search verdict at c_max matches the minimal-gain solve", check_search_verdict_matches_solve),
     ("generation verdicts match check_gain", check_generation_verdicts_match_check_gain),
+    ("stacked certificate matches the row loop", check_stacked_certificate_matches_row_loop),
     ("Lyapunov descent on certified runs", check_lyapunov_descent_on_certified_runs),
     ("error superposition scaling", check_error_trajectory_superposition),
     ("rk4 step-halving ratio ~16", check_rk4_step_halving_fourth_order),
