@@ -13,10 +13,13 @@ minimizing their size.
 
 Evolution follows tournament selection, uniform (or one-point) crossover,
 independent bit-flip mutation, and elitist truncation of parents plus
-offspring.  Everything is deterministic for a fixed seed.  A generation is a
-(P, G) gene matrix with parallel pinned-count, xi and fitness vectors; the
-fitness of every row is recomputed from its count and xi at the generation's
-penalty coefficient, so the adaptive penalty needs no new certificate test.
+offspring.  A generation's offspring are bred in array operations, each
+kind of random choice (tournaments, crossover decisions, swaps, mutations)
+drawn in one Generator call.  Everything is deterministic for a fixed seed.
+A generation is a (P, G) gene matrix with parallel pinned-count, xi and
+fitness vectors; the fitness of every row is recomputed from its count and
+xi at the generation's penalty coefficient, so the adaptive penalty needs no
+new certificate test.
 A chromosome gets one certificate test per network unless its pinned count
 alone proves that it can neither survive truncation nor become the best
 feasible find: fitness is at least the pinned count, so such a child is
@@ -27,8 +30,9 @@ vectors and get gains.
 
 The certificate tests go through one ``CertificateTest`` per network, built once
 per search at the search gain.  Each generation is scored with one call per
-network on that network's columns of the gene matrix: a Cholesky factor
-settles a feasible set, and only the sets it rejects are eigensolved.
+network on that network's columns of the gene matrix: stacked Cholesky
+factors settle the feasible sets, and only the sets they reject are
+eigensolved.
 """
 
 from __future__ import annotations
@@ -200,18 +204,23 @@ def init_population(
 
 
 def tournament_select(
-    fitness: np.ndarray, counts: np.ndarray, k: int, rng: np.random.Generator
-) -> int:
-    """The row index of the best of k uniform draws with replacement.
+    fitness: np.ndarray, counts: np.ndarray, k: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Row indices of ``size`` winners, each the best of k uniform draws with replacement.
 
-    Ties break toward fewer pinned nodes, then the lower row index.
+    All size * k draws come from one Generator call.  Ties break toward fewer
+    pinned nodes, then the lower row index.
     """
     if len(fitness) == 0:
         raise ValueError("population must not be empty")
     if k < 1:
         raise ValueError("tournament size must be >= 1")
-    idx = rng.integers(0, len(fitness), size=k)
-    return min(idx.tolist(), key=lambda i: (fitness[i], counts[i], i))
+    # lexsort is stable, so rows of equal (fitness, count) keep index order.
+    order = np.lexsort((counts, fitness))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    draws = rng.integers(0, len(fitness), size=(size, k))
+    return order[rank[draws].min(axis=1)]
 
 
 def crossover(
@@ -221,42 +230,48 @@ def crossover(
     rng: np.random.Generator,
     op: str = "uniform",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """With probability p_c, mix two parent rows; otherwise return copies.
+    """Mate row i of ``a`` with row i of ``b``: mix them with probability p_c, else copy.
 
-    Uniform crossover swaps each gene between the children with probability
-    one half; one-point crossover splits the row once.
+    One call draws every pair's decision and one more every pair's swap:
+    uniform crossover swaps each gene between the children with probability
+    one half, and one-point crossover swaps the genes from a cut in 1..N-1
+    on.  A row of one gene has no cut to draw, and a one-point crossover
+    swaps that gene.  The children never share memory with the parents.
     """
-    if a.shape != b.shape:
-        raise ValueError("parents must have matching gene shapes")
-    if rng.random() >= p_c:
-        return a.copy(), b.copy()
-    total = len(a)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError("parents must be two gene matrices of one shape")
+    pairs, total = a.shape
+    mixed = rng.random(pairs) < p_c
     if op == "uniform":
-        swap = rng.random(total) < 0.5
+        swap = rng.random((pairs, total)) < 0.5
     elif op == "one_point":
-        point = int(rng.integers(1, total)) if total > 1 else 0
-        swap = np.arange(total) >= point
+        cut = rng.integers(1, total, size=pairs) if total > 1 else np.zeros(pairs, np.int64)
+        swap = np.arange(total) >= cut[:, np.newaxis]
     else:
         raise ValueError(f"unknown crossover op {op!r}")
+    swap &= mixed[:, np.newaxis]
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def mutate(genes: np.ndarray, p_m: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each gene of a row independently with probability p_m."""
-    return genes ^ (rng.random(len(genes)) < p_m).astype(np.uint8)
+    """Flip each gene of a gene matrix independently with probability p_m, in one draw."""
+    return genes ^ (rng.random(genes.shape) < p_m).astype(np.uint8)
 
 
 def _breed(
     genes: np.ndarray, fit: np.ndarray, counts: np.ndarray, cfg: GaConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """population_size offspring rows by tournament selection, crossover and mutation."""
-    brood = []
-    while len(brood) < cfg.population_size:
-        a = genes[tournament_select(fit, counts, cfg.tournament_size, rng)]
-        b = genes[tournament_select(fit, counts, cfg.tournament_size, rng)]
-        for child in crossover(a, b, cfg.crossover_prob, rng, op=cfg.crossover_op):
-            brood.append(mutate(child, cfg.mutation_prob, rng))
-    return np.array(brood[: cfg.population_size])
+    """population_size offspring rows by tournament selection, crossover and mutation.
+
+    Parents 2i and 2i + 1 of the tournament winners mate, their children
+    take rows 2i and 2i + 1, and an odd population drops the last child.
+    Each operator draws the whole generation in one Generator call.
+    """
+    pairs = -(-cfg.population_size // 2)
+    won = genes[tournament_select(fit, counts, cfg.tournament_size, rng, 2 * pairs)]
+    children = crossover(won[0::2], won[1::2], cfg.crossover_prob, rng, op=cfg.crossover_op)
+    brood = np.stack(children, axis=1).reshape(2 * pairs, -1)[: cfg.population_size]
+    return mutate(brood, cfg.mutation_prob, rng)
 
 
 @dataclass(frozen=True)

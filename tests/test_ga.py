@@ -154,16 +154,14 @@ class TestFitness:
 class TestTournament:
     def test_k1_is_uniform_draw(self):
         fit, counts = np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4, dtype=np.int64)
-        rng = np.random.default_rng(0)
-        picks = np.array([tournament_select(fit, counts, 1, rng) for _ in range(8000)])
+        picks = tournament_select(fit, counts, 1, np.random.default_rng(0), 8000)
         freqs = [np.mean(picks == i) for i in range(4)]
         assert all(abs(f - 0.25) < 0.02 for f in freqs)
 
     def test_k2_rank_probabilities(self):
         # best-of-two with replacement over 4 distinct ranks: {7,5,3,1}/16
         fit, counts = np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4, dtype=np.int64)
-        rng = np.random.default_rng(1)
-        picks = np.array([tournament_select(fit, counts, 2, rng) for _ in range(10000)])
+        picks = tournament_select(fit, counts, 2, np.random.default_rng(1), 10000)
         expected = np.array([7, 5, 3, 1]) / 16.0
         for i, p in enumerate(expected):
             assert abs(np.mean(picks == i) - p) < 0.02
@@ -171,62 +169,137 @@ class TestTournament:
     def test_ties_prefer_fewer_pins_then_lower_index(self):
         fit, counts = np.array([2.0, 2.0, 2.0]), np.array([5, 3, 3])
         rng = np.random.default_rng(2)
-        assert tournament_select(fit, counts, len(fit) * 20, rng) == 1
+        assert np.all(tournament_select(fit, counts, len(fit) * 20, rng, 50) == 1)
+        # fitness ranks first: fewer pins do not beat a lower fitness
+        fit, counts = np.array([2.0, 1.0, 1.0]), np.array([0, 9, 9])
+        assert np.all(tournament_select(fit, counts, 60, rng, 50) == 1)
+
+    def test_tournament_larger_than_the_population(self):
+        # best of 10 draws over 3 ranks: 1 - (2/3)^10, (2/3)^10 - (1/3)^10, (1/3)^10
+        fit, counts = np.array([3.0, 1.0, 2.0]), np.zeros(3, dtype=np.int64)
+        picks = tournament_select(fit, counts, 10, np.random.default_rng(3), 20000)
+        assert set(picks.tolist()) <= {0, 1, 2}
+        assert abs(np.mean(picks == 1) - (1.0 - (2.0 / 3.0) ** 10)) < 0.005
+        assert abs(np.mean(picks == 2) - ((2.0 / 3.0) ** 10 - (1.0 / 3.0) ** 10)) < 0.005
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select(np.zeros(0), np.zeros(0), 2, np.random.default_rng(0))
+            tournament_select(np.zeros(0), np.zeros(0), 2, np.random.default_rng(0), 4)
 
 
 class TestCrossover:
     def test_identical_parents_unchanged(self):
-        a = genes(1, 0, 1, 1)
-        c1, c2 = crossover(a, a, 1.0, np.random.default_rng(0))
-        assert np.array_equal(c1, a)
-        assert np.array_equal(c2, a)
+        a = np.tile(genes(1, 0, 1, 1), (8, 1))
+        for op in ("uniform", "one_point"):
+            c1, c2 = crossover(a, a, 1.0, np.random.default_rng(0), op=op)
+            assert np.array_equal(c1, a)
+            assert np.array_equal(c2, a)
 
     def test_pc_zero_copies(self):
-        a, b = genes(1, 1, 0, 0), genes(0, 0, 1, 1)
-        c1, c2 = crossover(a, b, 0.0, np.random.default_rng(0))
-        assert np.array_equal(c1, a) and c1 is not a
-        assert np.array_equal(c2, b) and c2 is not b
+        a = np.tile(genes(1, 1, 0, 0), (8, 1))
+        b = np.tile(genes(0, 0, 1, 1), (8, 1))
+        for op in ("uniform", "one_point"):
+            c1, c2 = crossover(a, b, 0.0, np.random.default_rng(0), op=op)
+            assert np.array_equal(c1, a) and not np.shares_memory(c1, a)
+            assert np.array_equal(c2, b) and not np.shares_memory(c2, b)
 
     def test_complementary_parents_mix_half(self):
-        n = 50
-        a, b = np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)
-        rng = np.random.default_rng(3)
-        freq = np.zeros(n)
-        trials = 10000
-        for _ in range(trials):
-            c1, _ = crossover(a, b, 1.0, rng)
-            freq += c1
-        freq /= trials
-        assert np.all(np.abs(freq - 0.5) < 0.02)
-
-    def test_one_point_variant(self):
-        a, b = np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8)
-        c1, c2 = crossover(a, b, 1.0, np.random.default_rng(5), op="one_point")
-        # one contiguous block swapped: exactly one 0->1 transition overall
-        assert np.sum(np.abs(np.diff(c1.astype(int)))) == 1
+        pairs, n = 10000, 50
+        a, b = np.zeros((pairs, n), dtype=np.uint8), np.ones((pairs, n), dtype=np.uint8)
+        c1, c2 = crossover(a, b, 1.0, np.random.default_rng(3))
+        assert np.all(np.abs(c1.mean(axis=0) - 0.5) < 0.02)
+        assert abs(c1.sum(axis=1).mean() - n / 2) < 0.2
         assert np.array_equal(c1 ^ 1, c2)
 
+    def test_one_point_variant(self):
+        a, b = np.zeros((200, 10), dtype=np.uint8), np.ones((200, 10), dtype=np.uint8)
+        c1, c2 = crossover(a, b, 1.0, np.random.default_rng(5), op="one_point")
+        # one contiguous block swapped from a cut in 1..9: exactly one 0->1
+        # transition in every row, after its first gene and by its last
+        assert np.all(np.sum(np.abs(np.diff(c1.astype(int), axis=1)), axis=1) == 1)
+        assert np.all(c1[:, 0] == 0) and np.all(c1[:, -1] == 1)
+        assert np.array_equal(c1 ^ 1, c2)
+        assert len(set(c1.sum(axis=1).tolist())) == 9  # every cut is drawn
+
+    def test_one_point_swaps_a_single_gene(self):
+        a, b = np.zeros((5, 1), dtype=np.uint8), np.ones((5, 1), dtype=np.uint8)
+        c1, c2 = crossover(a, b, 1.0, np.random.default_rng(6), op="one_point")
+        assert np.array_equal(c1, b) and np.array_equal(c2, a)
+
     def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            crossover(genes(0, 0, 0), genes(0, 0, 0, 0), 1.0, np.random.default_rng(0))
+            crossover(np.zeros((2, 3), np.uint8), np.zeros((2, 4), np.uint8), 1.0, rng)
+        with pytest.raises(ValueError):
+            crossover(genes(0, 0, 0), genes(0, 0, 0), 1.0, rng)
 
 
 class TestMutate:
     def test_identity_and_complement(self):
-        row = genes(1, 0, 1)
+        rows = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
         rng = np.random.default_rng(0)
-        assert np.array_equal(mutate(row, 0.0, rng), row)
-        assert np.array_equal(mutate(row, 1.0, rng), row ^ 1)
+        assert np.array_equal(mutate(rows, 0.0, rng), rows)
+        assert np.array_equal(mutate(rows, 1.0, rng), rows ^ 1)
 
     def test_binomial_mean_flip_count(self):
-        row = np.zeros(200, dtype=np.uint8)
-        rng = np.random.default_rng(7)
-        flips = np.array([mutate(row, 0.05, rng).sum() for _ in range(10000)])
+        rows = np.zeros((10000, 200), dtype=np.uint8)
+        flips = mutate(rows, 0.05, np.random.default_rng(7)).sum(axis=1)
         assert abs(flips.mean() - 10.0) <= 0.5
+
+
+class Recording:
+    """A Generator that logs each call's method and arguments before making it."""
+
+    def __init__(self, seed):
+        self.calls = []
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return call
+
+
+class TestBreed:
+    @pytest.mark.parametrize("op", ["uniform", "one_point"])
+    @pytest.mark.parametrize("population", [6, 7])
+    def test_one_generator_call_per_operator_in_order(self, op, population):
+        n, k, pairs = 9, 3, (population + 1) // 2
+        cfg = GaConfig(population_size=population, tournament_size=k, crossover_op=op)
+        draw = np.random.default_rng(11)
+        parents = (draw.random((population, n)) < 0.5).astype(np.uint8)
+        fit = draw.integers(0, 4, size=population).astype(float)
+        counts = parents.sum(axis=1, dtype=np.int64)
+        rng = Recording(12)
+        brood = ga._breed(parents, fit, counts, cfg, rng)
+        assert brood.shape == (population, n) and brood.dtype == np.uint8
+        cut = ("integers", (1, n), {"size": pairs})
+        assert rng.calls == [
+            ("integers", (0, population), {"size": (2 * pairs, k)}),
+            ("random", (pairs,), {}),
+            ("random", ((pairs, n),), {}) if op == "uniform" else cut,
+            ("random", ((population, n),), {}),
+        ]
+        # the same draws, bred one tournament and one pair at a time
+        ref = np.random.default_rng(12)
+        draws = ref.integers(0, population, size=(2 * pairs, k))
+        won = [min(row.tolist(), key=lambda i: (fit[i], counts[i], i)) for row in draws]
+        mixed = ref.random(pairs) < cfg.crossover_prob
+        if op == "uniform":
+            swaps = ref.random((pairs, n)) < 0.5
+        else:
+            swaps = np.arange(n) >= ref.integers(1, n, size=pairs)[:, None]
+        flips = (ref.random((population, n)) < cfg.mutation_prob).astype(np.uint8)
+        children = []
+        for i in range(pairs):
+            a, b = parents[won[2 * i]], parents[won[2 * i + 1]]
+            swap = swaps[i] & mixed[i]
+            children += [np.where(swap, b, a), np.where(swap, a, b)]
+        assert np.array_equal(brood, np.array(children[:population]) ^ flips)
 
 
 class TestEvolve:
@@ -357,10 +430,24 @@ class TestEvolve:
         with pytest.raises(ValueError, match="one gene per node"):
             evolve(self._cfg(), sys)
 
+    def test_odd_population_breeds_that_many_rows(self, monkeypatch):
+        shapes, breed = [], ga._breed
+
+        def spy_breed(genes, fit, counts, cfg, rng):
+            brood = breed(genes, fit, counts, cfg, rng)
+            shapes.append(brood.shape)
+            return brood
+
+        monkeypatch.setattr(ga, "_breed", spy_breed)
+        cfg = self._cfg(population_size=7)
+        report = evolve(cfg, small_system(n=6, seed=2))
+        assert shapes == [(7, 6)] * cfg.generations
+        assert report.lmi_evaluations == 7 * (cfg.generations + 1) - report.pruned
+
     def test_seeded_multi50_reports_match_the_recording(self):
-        # Recorded when a chromosome became one gene per node: the random
-        # stream, the verdicts, the fitness values and the work counters
-        # (lmi_evaluations, eigensolves, pruned) must not move.
+        # Recorded when breeding began to draw a generation in one call per
+        # operator: the random stream, the verdicts, the fitness values and
+        # the work counters (lmi_evaluations, eigensolves, pruned) must not move.
         sc = builtin_scenario("multi-50")
         sys = build_system(sc)
         cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7)
@@ -418,131 +505,131 @@ class TestEvolve:
 
 
 # evolve(...).to_dict() for built-in multi-50 (trial 0), population 20, 5 generations, seed 7.
-RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 12.0,
+RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                          'best_fitness_series': [15.0,
-                                                                 15.0,
-                                                                 15.0,
                                                                  12.0,
                                                                  12.0,
-                                                                 12.0],
-                                         'best_gains': [34.89843017359583,
-                                                        37.77906871082658,
-                                                        19.71840475595923],
-                                         'best_genes': ['00000001001000111000000001000100000',
-                                                        '0000010010000000011000101',
-                                                        '0000000111001100001100100'],
+                                                                 11.0,
+                                                                 11.0,
+                                                                 11.0],
+                                         'best_gains': [26.381674849757797,
+                                                        34.33143151917343,
+                                                        38.85968267833798],
+                                         'best_genes': ['01000111000000100001000100000000001',
+                                                        '0100010000010110000001000',
+                                                        '0010001110001001010000000'],
                                          'best_is_feasible': True,
-                                         'best_pinned_count': 12,
-                                         'best_pinned_count_series': [15, 15, 15, 12, 12, 12],
+                                         'best_pinned_count': 11,
+                                         'best_pinned_count_series': [15, 12, 12, 11, 11, 11],
                                          'best_xi': 0.0,
-                                         'eigensolves': 38,
-                                         'feasible_best': {'gains': [34.89843017359583,
-                                                                     37.77906871082658,
-                                                                     19.71840475595923],
-                                                           'genes': ['00000001001000111000000001000100000',
-                                                                     '0000010010000000011000101',
-                                                                     '0000000111001100001100100'],
-                                                           'pinned_count': 12},
+                                         'eigensolves': 35,
+                                         'feasible_best': {'gains': [26.381674849757797,
+                                                                     34.33143151917343,
+                                                                     38.85968267833798],
+                                                           'genes': ['01000111000000100001000100000000001',
+                                                                     '0100010000010110000001000',
+                                                                     '0010001110001001010000000'],
+                                                           'pinned_count': 11},
                                          'feasible_fraction_series': [0.35,
+                                                                      0.9,
+                                                                      0.9,
                                                                       0.95,
-                                                                      0.95,
-                                                                      1.0,
                                                                       1.0,
                                                                       0.95],
                                          'generations': [0, 1, 2, 3, 4, 5],
-                                         'lmi_evaluations': 279,
+                                         'lmi_evaluations': 285,
                                          'mean_fitness_series': [53.19525350252504,
-                                                                 17.361677967072552,
-                                                                 16.22195762825131,
-                                                                 15.7,
-                                                                 15.1,
-                                                                 14.01484042506328],
-                                         'pruned': 27},
-                    'one_point': {'best_fitness': 13.0,
-                                  'best_fitness_series': [15.0, 14.0, 14.0, 14.0, 13.0, 13.0],
-                                  'best_gains': [23.62998998602087,
-                                                 31.073474720741114,
-                                                 15.797991657832254],
-                                  'best_genes': ['00011001001000000110000111010000000',
-                                                 '0001110000011010100000000',
-                                                 '0001100101000010111101000'],
+                                                                 17.420219846368774,
+                                                                 15.533740290768412,
+                                                                 14.420608757162402,
+                                                                 12.9,
+                                                                 12.292599969007663],
+                                         'pruned': 25},
+                    'one_point': {'best_fitness': 12.0,
+                                  'best_fitness_series': [15.0, 14.0, 13.0, 13.0, 12.0, 12.0],
+                                  'best_gains': [27.215869619005087,
+                                                 38.468757086028425,
+                                                 41.27802841414743],
+                                  'best_genes': ['00010001110100100010000100000000000',
+                                                 '0001011100010010010000100',
+                                                 '0001000100001010010010100'],
                                   'best_is_feasible': True,
-                                  'best_pinned_count': 13,
-                                  'best_pinned_count_series': [15, 14, 14, 14, 13, 13],
+                                  'best_pinned_count': 12,
+                                  'best_pinned_count_series': [15, 14, 13, 13, 12, 12],
                                   'best_xi': 0.0,
-                                  'eigensolves': 48,
-                                  'feasible_best': {'gains': [23.62998998602087,
-                                                              31.073474720741114,
-                                                              15.797991657832254],
-                                                    'genes': ['00011001001000000110000111010000000',
-                                                              '0001110000011010100000000',
-                                                              '0001100101000010111101000'],
-                                                    'pinned_count': 13},
-                                  'feasible_fraction_series': [0.35, 0.8, 0.95, 1.0, 1.0, 1.0],
+                                  'eigensolves': 40,
+                                  'feasible_best': {'gains': [27.215869619005087,
+                                                              38.468757086028425,
+                                                              41.27802841414743],
+                                                    'genes': ['00010001110100100010000100000000000',
+                                                              '0001011100010010010000100',
+                                                              '0001000100001010010010100'],
+                                                    'pinned_count': 12},
+                                  'feasible_fraction_series': [0.35, 0.95, 0.9, 0.95, 0.95, 1.0],
                                   'generations': [0, 1, 2, 3, 4, 5],
-                                  'lmi_evaluations': 303,
+                                  'lmi_evaluations': 297,
                                   'mean_fitness_series': [53.19525350252504,
-                                                          19.36123171968171,
-                                                          17.551398305893795,
-                                                          15.85,
-                                                          15.1,
-                                                          14.5],
-                                  'pruned': 19},
-                    'uniform': {'best_fitness': 12.0,
-                                'best_fitness_series': [15.0, 15.0, 15.0, 12.0, 12.0, 12.0],
-                                'best_gains': [34.89843017359583,
-                                               37.77906871082658,
-                                               19.71840475595923],
-                                'best_genes': ['00000001001000111000000001000100000',
-                                               '0000010010000000011000101',
-                                               '0000000111001100001100100'],
+                                                          17.501398305893794,
+                                                          16.085346640836917,
+                                                          15.483948334943122,
+                                                          14.683948334943121,
+                                                          14.05],
+                                  'pruned': 21},
+                    'uniform': {'best_fitness': 11.0,
+                                'best_fitness_series': [15.0, 12.0, 12.0, 11.0, 11.0, 11.0],
+                                'best_gains': [26.381674849757797,
+                                               34.33143151917343,
+                                               38.85968267833798],
+                                'best_genes': ['01000111000000100001000100000000001',
+                                               '0100010000010110000001000',
+                                               '0010001110001001010000000'],
                                 'best_is_feasible': True,
-                                'best_pinned_count': 12,
-                                'best_pinned_count_series': [15, 15, 15, 12, 12, 12],
+                                'best_pinned_count': 11,
+                                'best_pinned_count_series': [15, 12, 12, 11, 11, 11],
                                 'best_xi': 0.0,
                                 'eigensolves': 38,
-                                'feasible_best': {'gains': [34.89843017359583,
-                                                            37.77906871082658,
-                                                            19.71840475595923],
-                                                  'genes': ['00000001001000111000000001000100000',
-                                                            '0000010010000000011000101',
-                                                            '0000000111001100001100100'],
-                                                  'pinned_count': 12},
-                                'feasible_fraction_series': [0.35, 0.95, 0.95, 1.0, 1.0, 0.95],
+                                'feasible_best': {'gains': [26.381674849757797,
+                                                            34.33143151917343,
+                                                            38.85968267833798],
+                                                  'genes': ['01000111000000100001000100000000001',
+                                                            '0100010000010110000001000',
+                                                            '0010001110001001010000000'],
+                                                  'pinned_count': 11},
+                                'feasible_fraction_series': [0.35, 0.9, 0.9, 0.95, 0.95, 1.0],
                                 'generations': [0, 1, 2, 3, 4, 5],
-                                'lmi_evaluations': 279,
+                                'lmi_evaluations': 291,
                                 'mean_fitness_series': [53.19525350252504,
-                                                        17.351398305893795,
-                                                        16.201398305893797,
-                                                        15.7,
-                                                        15.1,
-                                                        14.007420212531638],
-                                'pruned': 27}}
+                                                        17.375183205307316,
+                                                        15.495528779120296,
+                                                        14.3941304732265,
+                                                        12.7941304732265,
+                                                        12.15],
+                                'pruned': 23}}
 
 # evolve(...).to_dict() for built-in single-50 (trial 0), fixed gain 5.0, population 20,
 # 5 generations, seed 7.
-RECORDED_SINGLE50_FIXED = {'best_fitness': 53.7848257269318,
+RECORDED_SINGLE50_FIXED = {'best_fitness': 52.57514633705439,
                            'best_fitness_series': [59.90520989379259,
-                                                   59.14283470615972,
-                                                   58.47591655078702,
-                                                   56.613508484622955,
-                                                   55.13970892270446,
-                                                   53.7848257269318],
+                                                   59.157006075203384,
+                                                   58.11254222274761,
+                                                   58.023931752965936,
+                                                   53.98434781669191,
+                                                   52.57514633705439],
                            'best_gains': [None],
-                           'best_genes': ['11110101011110010010011001111000101111101101101010'],
+                           'best_genes': ['11111110000110111111111001111110001001100001100101'],
                            'best_is_feasible': False,
-                           'best_pinned_count': 30,
-                           'best_pinned_count_series': [23, 24, 25, 27, 28, 30],
-                           'best_xi': 2.37848257269318,
+                           'best_pinned_count': 31,
+                           'best_pinned_count_series': [23, 23, 26, 25, 28, 31],
+                           'best_xi': 2.157514633705439,
                            'eigensolves': 120,
                            'feasible_best': None,
                            'feasible_fraction_series': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                            'generations': [0, 1, 2, 3, 4, 5],
                            'lmi_evaluations': 120,
                            'mean_fitness_series': [68.37632307763523,
-                                                   64.46520869433564,
-                                                   60.72571556706688,
-                                                   59.12334527188909,
-                                                   57.5865098091251,
-                                                   56.104107959042764],
+                                                   64.87042814788515,
+                                                   61.77636384742134,
+                                                   59.71754595458562,
+                                                   57.8815356689669,
+                                                   56.51527098120586],
                            'pruned': 0}
