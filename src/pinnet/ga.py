@@ -290,7 +290,9 @@ class GaReport:
     counts the certificate tests run, one per network for every other
     chromosome bred: (population_size * (generations + 1) - pruned)
     * num_networks.  ``eigensolves`` counts those the Cholesky test did not
-    settle, which fell through to an eigensolve.
+    settle, which fell through to an eigensolve.  ``gain_solves`` counts the
+    per-network gains found for the reported chromosomes: a minimal-gain
+    solve each, or a ``check_gain`` at the fixed gain.
     """
 
     best: Individual
@@ -304,6 +306,7 @@ class GaReport:
     feasible_fraction: np.ndarray
     lmi_evaluations: int
     eigensolves: int
+    gain_solves: int
     pruned: int
 
     def best_plan(self, sys: MultiNetworkSystem) -> PinningPlan:
@@ -330,6 +333,7 @@ class GaReport:
             "feasible_fraction_series": self.feasible_fraction.tolist(),
             "lmi_evaluations": self.lmi_evaluations,
             "eigensolves": self.eigensolves,
+            "gain_solves": self.gain_solves,
             "pruned": self.pruned,
         }
         if self.best_feasible is None:
@@ -418,5 +422,6 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
         feasible_fraction=series[3],
         lmi_evaluations=tested * sys.num_networks,
         eigensolves=sum(test.eigensolves for test in tests),
+        gain_solves=sys.num_networks * (1 if best is None else 2),
         pruned=pruned,
     )

@@ -229,7 +229,9 @@ def run_scenario(
     the seconds of each layer under ``timings``: ``build_s``, ``search_s``
     (the GA and its reported gains), ``simulate_s`` and ``export_s`` (the
     CSV files); writing ``summary.json`` itself is outside all four.  Next to
-    them, ``export_bytes`` is the size of the CSV files that ``export_s`` wrote.
+    them, ``export_bytes`` is the size of the CSV files that ``export_s`` wrote
+    and ``integrator_steps`` the steps ``simulate_s`` took (0 when the
+    simulation is skipped).
     """
     started = time.perf_counter()
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
@@ -288,6 +290,7 @@ def run_scenario(
             "ga": report.to_dict(),
             "timings": timings,
             "export_bytes": sum(path.stat().st_size for path in written),
+            "integrator_steps": 0 if traj is None else len(traj.times) - 1,
         }
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

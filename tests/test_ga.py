@@ -447,7 +447,8 @@ class TestEvolve:
     def test_seeded_multi50_reports_match_the_recording(self):
         # Recorded when breeding began to draw a generation in one call per
         # operator: the random stream, the verdicts, the fitness values and
-        # the work counters (lmi_evaluations, eigensolves, pruned) must not move.
+        # the work counters (lmi_evaluations, eigensolves, gain_solves, pruned)
+        # must not move.
         sc = builtin_scenario("multi-50")
         sys = build_system(sc)
         cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7)
@@ -536,6 +537,7 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                                       0.95,
                                                                       1.0,
                                                                       0.95],
+                                         'gain_solves': 6,
                                          'generations': [0, 1, 2, 3, 4, 5],
                                          'lmi_evaluations': 285,
                                          'mean_fitness_series': [53.19525350252504,
@@ -566,6 +568,7 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                               '0001000100001010010010100'],
                                                     'pinned_count': 12},
                                   'feasible_fraction_series': [0.35, 0.95, 0.9, 0.95, 0.95, 1.0],
+                                  'gain_solves': 6,
                                   'generations': [0, 1, 2, 3, 4, 5],
                                   'lmi_evaluations': 297,
                                   'mean_fitness_series': [53.19525350252504,
@@ -596,6 +599,7 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                             '0010001110001001010000000'],
                                                   'pinned_count': 11},
                                 'feasible_fraction_series': [0.35, 0.9, 0.9, 0.95, 0.95, 1.0],
+                                'gain_solves': 6,
                                 'generations': [0, 1, 2, 3, 4, 5],
                                 'lmi_evaluations': 291,
                                 'mean_fitness_series': [53.19525350252504,
@@ -624,6 +628,7 @@ RECORDED_SINGLE50_FIXED = {'best_fitness': 52.57514633705439,
                            'eigensolves': 120,
                            'feasible_best': None,
                            'feasible_fraction_series': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                           'gain_solves': 1,
                            'generations': [0, 1, 2, 3, 4, 5],
                            'lmi_evaluations': 120,
                            'mean_fitness_series': [68.37632307763523,

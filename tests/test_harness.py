@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pinnet.ga
 from pinnet import harness
 from pinnet.dynamics import SimulationConfig, export_errors_csv
 from pinnet.ga import GaConfig
@@ -161,6 +162,29 @@ class TestRunScenario:
             (tmp_path / name).stat().st_size for name in csvs
         )
 
+    def test_gain_solves_count_the_gain_calls(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("solve_min_gain", "check_gain"):
+            real = getattr(pinnet.ga, name)
+            monkeypatch.setattr(pinnet.ga, name, lambda *a, real=real: calls.append(a) or real(*a))
+        never = replace(tiny_single(), threshold=1.0)  # no edges: gain 0.1 < delta/2 fails
+        never = replace(never, ga=replace(never.ga, fixed_gain=0.1))
+        # the best and the best feasible chromosome get gains on both networks,
+        # an infeasible best alone on its one network
+        for name, sc, solves in (("solved", tiny_multi(), 4), ("never", never, 1)):
+            calls.clear()
+            out = run_scenario(sc, out_dir=tmp_path / name)
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            assert out.feasible == (name == "solved")
+            assert summary["ga"]["gain_solves"] == len(calls) == solves
+
+    def test_integrator_steps_are_the_trajectory_steps(self, tmp_path):
+        sc = tiny_multi()
+        run_scenario(sc, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        rows = len((tmp_path / "trajectory.csv").read_text().splitlines()) - 1  # header
+        assert summary["integrator_steps"] == rows - 1 == round(sc.sim.horizon / sc.sim.dt)
+
     def test_infeasible_is_outcome_not_error(self, tmp_path):
         # no edges and a gain cap below delta/2: nothing can certify
         sc = tiny_single()
@@ -176,6 +200,7 @@ class TestRunScenario:
         assert not (tmp_path / "trajectory.csv").exists()
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["export_bytes"] == (tmp_path / "ga_report.csv").stat().st_size
+        assert summary["integrator_steps"] == 0
 
 
 class TestRunBatch:
