@@ -35,8 +35,8 @@ import numpy as np
 # np.linalg.cholesky raises for a whole stack when any one matrix has no factor.
 # Its gufunc (the same LAPACK call on the same bits) instead returns that
 # matrix as NaN when the invalid flag is ignored, so a stack of pin sets is
-# tested in one call.  numpy has shipped it under this name since 1.8; this is
-# the only place pinnet reaches into numpy's internals.
+# tested in one call.  numpy has had it under this name since 1.8; this import
+# is the only place pinnet reaches into numpy's internals.
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .network import MultiNetworkSystem
