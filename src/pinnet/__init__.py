@@ -4,9 +4,9 @@ The package splits into five layers: ``network`` builds directed weighted
 graphs, Laplacians and multi-network overlap structure; ``stability`` reduces
 the pinning-consensus matrix inequality to symmetric eigenvalue tests and
 solves minimal certifying gains; ``dynamics`` integrates the coupled node
-dynamics and derives error and Lyapunov series; ``ga`` searches binary pinning
-sets with a violation penalty; and ``harness`` reproduces the study scenarios
-end to end (with a CLI in ``cli``).
+dynamics, recording per-node errors and the Lyapunov value at every step;
+``ga`` searches binary pinning sets with a violation penalty; and ``harness``
+reproduces the study scenarios end to end (with a CLI in ``cli``).
 """
 
 from .network import (
@@ -15,7 +15,6 @@ from .network import (
     LaplacianPair,
     MembershipProfile,
     MultiNetworkSystem,
-    build_multinetwork,
     generate_adjacency,
     generate_membership,
     laplacian,
@@ -26,15 +25,10 @@ from .network import (
 )
 from .stability import (
     FeasibilityResult,
-    PinningPlan,
     StabilityParams,
     check_gain,
-    infeasibility_multi,
-    joint_stability_margin,
-    min_eigenvalue,
     solve_min_gain,
     stability_matrix,
-    violation_norm,
 )
 from .dynamics import (
     DivergenceError,
@@ -43,7 +37,6 @@ from .dynamics import (
     convergence_time,
     export_errors_csv,
     export_trajectory_csv,
-    lyapunov_series,
     simulate_multi,
     simulate_single,
 )

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .network import DirectedNetwork, MultiNetworkSystem, single_network_system
-from .stability import PinningPlan
 
 DIVERGENCE_LIMIT = 1e12
 # Steps integrated between divergence checks.
@@ -61,6 +60,10 @@ class SimulationConfig:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
+        for name in ("dt", "horizon", "convergence_tol"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
         if self.horizon < self.dt:
@@ -103,14 +106,21 @@ def _drift_matrix(net: DirectedNetwork, pins: np.ndarray, gain: float) -> np.nda
     )
 
 
-def _assemble_drift(sys: MultiNetworkSystem, plan: PinningPlan) -> np.ndarray:
+def _assemble_drift(
+    sys: MultiNetworkSystem, pins: Sequence[np.ndarray], gains: Sequence[float]
+) -> np.ndarray:
+    """The closed loop's drift: each network's matrix embedded at its node ids."""
+    if len(pins) != sys.num_networks or len(gains) != sys.num_networks:
+        raise ValueError("need one gene vector and one gain per network")
     n = sys.total_nodes
     a = np.zeros((n, n))
-    for net, pins, gain in zip(sys.networks, plan.pins, plan.gains):
-        if gain is None or gain < 0.0:
-            raise ValueError("every network needs a solved nonnegative gain")
+    for net, vec, gain in zip(sys.networks, pins, gains):
+        if np.shape(vec) != (net.n,):
+            raise ValueError("gene vector length must match network size")
+        if gain is None or not (np.isfinite(gain) and gain >= 0.0):
+            raise ValueError(f"every network needs a finite nonnegative gain, got {gain!r}")
         idx = net.node_ids
-        a[np.ix_(idx, idx)] += _drift_matrix(net, pins, gain)
+        a[np.ix_(idx, idx)] += _drift_matrix(net, vec, float(gain))
     return a
 
 
@@ -156,17 +166,20 @@ def _as_states(x0: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def simulate_multi(
     sys: MultiNetworkSystem,
-    plan: PinningPlan,
+    pins: Sequence[np.ndarray],
+    gains: Sequence[float],
     x0: np.ndarray,
     sim: SimulationConfig,
 ) -> Trajectory:
     """Integrate the coupled multi-network dynamics from x0.
 
-    Errors are measured against the per-node composite targets.
+    ``pins[k]`` is network k's 0/1 pin vector in its node order and
+    ``gains[k]`` its gain.  Errors are measured against the per-node
+    composite targets.
     """
     targets = sys.composite_targets
     x = _as_states(x0, sys.total_nodes, sys.state_dim)
-    a = _assemble_drift(sys, plan)
+    a = _assemble_drift(sys, pins, gains)
     return _integrate(a, x - targets, targets, sim)
 
 
@@ -178,18 +191,13 @@ def simulate_single(
     sim: SimulationConfig,
 ) -> Trajectory:
     """Integrate one network pulling pinned nodes toward its target."""
-    sys = single_network_system(net)
-    pins = np.asarray(d_hat, dtype=np.float64)
-    if pins.shape != (net.n,):
-        raise ValueError("pin vector length must match the network size")
-    plan = PinningPlan.from_genes(sys, [pins], [float(gain)])
-    return simulate_multi(sys, plan, x0, sim)
+    return simulate_multi(single_network_system(net), [d_hat], [gain], x0, sim)
 
 
 def convergence_time(traj: Trajectory, tol: float) -> Optional[float]:
     """Earliest sampled time from which the max-node error stays within tol."""
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     worst = traj.max_errors()
     above = np.nonzero(worst > tol)[0]
     if len(above) == 0:
@@ -198,19 +206,6 @@ def convergence_time(traj: Trajectory, tol: float) -> Optional[float]:
     if last_bad + 1 >= len(worst):
         return None
     return float(traj.times[last_bad + 1])
-
-
-def lyapunov_series(traj: Trajectory, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """V(t) = q * sum_i ||e_i||^2 per sample, plus its forward difference.
-
-    The derivative has one fewer entry than the series and is aligned with
-    times[:-1].
-    """
-    if q <= 0.0:
-        raise ValueError("q must be > 0")
-    values = q * traj.lyapunov
-    derivative = np.diff(values) / np.diff(traj.times)
-    return values, derivative
 
 
 # "%.17g" % v for a whole block of values at once, to the byte.  |v| is scaled

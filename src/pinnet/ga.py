@@ -46,7 +46,6 @@ import numpy as np
 from .network import MultiNetworkSystem
 from .stability import (
     CertificateTest,
-    PinningPlan,
     StabilityParams,
     check_gain,
     solve_min_gain,
@@ -77,14 +76,15 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.population_size < 1 or self.generations < 0:
             raise ValueError("population_size must be >= 1 and generations >= 0")
-        if self.penalty_coeff < 0.0:
-            raise ValueError("penalty_coeff must be >= 0")
+        if not (np.isfinite(self.penalty_coeff) and self.penalty_coeff >= 0.0):
+            raise ValueError(f"penalty_coeff must be finite and >= 0, got {self.penalty_coeff!r}")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
         if self.crossover_op not in ("uniform", "one_point"):
             raise ValueError(f"unknown crossover_op {self.crossover_op!r}")
-        if self.fixed_gain is not None and self.fixed_gain <= 0.0:
-            raise ValueError("fixed_gain must be > 0 when set")
+        gain = self.fixed_gain
+        if gain is not None and not (np.isfinite(gain) and gain > 0.0):
+            raise ValueError(f"fixed_gain must be finite and > 0 when set, got {gain!r}")
 
 
 @dataclass(frozen=True)
@@ -308,12 +308,6 @@ class GaReport:
     eigensolves: int
     gain_solves: int
     pruned: int
-
-    def best_plan(self, sys: MultiNetworkSystem) -> PinningPlan:
-        """Pins and solved gains of the best feasible chromosome."""
-        if self.best_feasible is None:
-            raise ValueError("no feasible chromosome was found; nothing to plan with")
-        return PinningPlan.from_genes(sys, self.best_feasible.genes, self.feasible_gains)
 
     def to_dict(self) -> dict:
         def bits(ind: Individual) -> list[str]:

@@ -47,7 +47,6 @@ from .network import (
     DirectedNetwork,
     MembershipProfile,
     MultiNetworkSystem,
-    build_multinetwork,
     generate_adjacency,
     generate_membership,
 )
@@ -67,6 +66,10 @@ class NetworkSpec:
     init_std: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.init_std <= 0.0:
             raise ValueError("init_std must be > 0")
 
@@ -195,7 +198,7 @@ def build_system(sc: Scenario, trial_index: int = 0) -> MultiNetworkSystem:
                 node_ids=ids,
             )
         )
-    return build_multinetwork(nets, memberships)
+    return MultiNetworkSystem(networks=nets, memberships=memberships)
 
 
 def draw_initial_states(
@@ -247,9 +250,8 @@ def run_scenario(
     conv = None
     terminal = float("nan")
     if chosen.feasible:
-        plan = report.best_plan(sys)
         x0 = draw_initial_states(sc, sys, trial_index)
-        traj = simulate_multi(sys, plan, x0, sc.sim)
+        traj = simulate_multi(sys, chosen.genes, gains, x0, sc.sim)
         conv = convergence_time(traj, sc.sim.convergence_tol)
         terminal = traj.terminal_max_error
     simulated = time.perf_counter()
@@ -474,8 +476,8 @@ def fixed_gain_study(
     """
     if len(gains) == 0:
         raise ValueError("need at least one gain value")
-    if any(c <= 0.0 for c in gains):
-        raise ValueError("fixed gains must be > 0")
+    if not all(np.isfinite(c) and c > 0.0 for c in gains):
+        raise ValueError(f"fixed gains must be finite and > 0, got {list(gains)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     policies = [("lmi", sc)] + [

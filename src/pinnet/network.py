@@ -282,14 +282,6 @@ class MultiNetworkSystem:
         return self.networks[0].state_dim
 
 
-def build_multinetwork(
-    networks: Sequence[DirectedNetwork],
-    memberships: Sequence[frozenset[int] | set[int]],
-) -> MultiNetworkSystem:
-    """Validate and assemble networks plus memberships into one system."""
-    return MultiNetworkSystem(networks=tuple(networks), memberships=tuple(memberships))
-
-
 def single_network_system(net: DirectedNetwork) -> MultiNetworkSystem:
     """Wrap one network as a degenerate K=1 system on its own nodes."""
     ids = net.node_ids

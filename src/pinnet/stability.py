@@ -28,7 +28,7 @@ that test rejects, which need the spectrum for xi anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +38,6 @@ import numpy as np
 # tested in one call.  numpy has had it under this name since 1.8; this import
 # is the only place pinnet reaches into numpy's internals.
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
-
-from .network import MultiNetworkSystem
 
 SYMMETRY_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
@@ -57,12 +55,10 @@ class StabilityParams:
     c_max: float = 50.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be > 0")
-        if self.q <= 0.0:
-            raise ValueError("q must be > 0")
-        if self.c_max <= 0.0:
-            raise ValueError("c_max must be > 0")
+        for name in ("delta", "q", "c_max"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +126,6 @@ def _with_pins(base: np.ndarray, pins: np.ndarray, gain: float, gamma: float) ->
     m = base.copy()
     m.reshape(-1)[:: len(m) + 1] += gain * (2.0 * gamma * pins)
     return m
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (symmetry enforced)."""
-    m = _check_symmetric(m)
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def violation_norm(m: np.ndarray, delta: float, q: float = 1.0) -> float:
-    """Frobenius norm of the part of q*M falling below delta*I.
-
-    Zero exactly when q*M >= delta*I; otherwise sqrt of the summed squared
-    eigenvalue shortfalls.
-    """
-    return float(_shortfall_norm(np.linalg.eigvalsh(_check_symmetric(m)), delta, q))
 
 
 def _shortfall_norm(lam: np.ndarray, delta: float, q: float) -> np.ndarray:
@@ -323,67 +304,3 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def infeasibility_multi(results: Sequence[FeasibilityResult]) -> float:
-    """Aggregate infeasibility over networks: the sum of per-network xi."""
-    if len(results) == 0:
-        raise ValueError("need at least one per-network result")
-    return float(sum(r.xi for r in results))
-
-
-@dataclass(frozen=True)
-class PinningPlan:
-    """A concrete control plan: per-network pin indicators and solved gains.
-
-    ``pins[k]`` is aligned with network k's node order; ``aggregated`` is the
-    global indicator max_k d_i^(k) so an overlap node counts once.
-    """
-
-    pins: tuple[np.ndarray, ...]
-    gains: tuple[float, ...]
-    aggregated: np.ndarray
-
-    @property
-    def pinned_count(self) -> int:
-        return int(self.aggregated.sum())
-
-    @staticmethod
-    def from_genes(
-        sys: MultiNetworkSystem,
-        genes: Sequence[np.ndarray],
-        gains: Sequence[float],
-    ) -> "PinningPlan":
-        if len(genes) != sys.num_networks or len(gains) != sys.num_networks:
-            raise ValueError("need one gene vector and one gain per network")
-        pins = []
-        agg = np.zeros(sys.total_nodes)
-        for net, g in zip(sys.networks, genes):
-            vec = np.asarray(g, dtype=np.float64)
-            if vec.shape != (net.n,):
-                raise ValueError("gene vector length must match network size")
-            pins.append(vec)
-            agg[net.node_ids] = np.maximum(agg[net.node_ids], vec)
-        return PinningPlan(
-            pins=tuple(pins),
-            gains=tuple(float(c) for c in gains),
-            aggregated=agg,
-        )
-
-
-def joint_stability_margin(
-    sys: MultiNetworkSystem, plan: PinningPlan, params: StabilityParams
-) -> float:
-    """Diagnostic margin of the summed (whole-system) stability inequality.
-
-    Embeds every network's test matrix into global coordinates, sums them and
-    returns q * lambda_min - delta.  Per-network feasibility at the plan's
-    gains implies this margin is nonnegative.
-    """
-    n = sys.total_nodes
-    joint = np.zeros((n, n))
-    for net, pins, gain in zip(sys.networks, plan.pins, plan.gains):
-        m = stability_matrix(net.lap.symmetric_part, pins, net.coupling_strength, gain, net.gamma)
-        idx = net.node_ids
-        joint[np.ix_(idx, idx)] += m
-    return params.q * float(np.linalg.eigvalsh(joint)[0]) - params.delta

@@ -22,7 +22,7 @@ from pinnet import ga
 from pinnet.ga import GaConfig, evolve, fitness
 from pinnet.network import (
     DirectedNetwork,
-    build_multinetwork,
+    MultiNetworkSystem,
     generate_adjacency,
     laplacian,
     make_network,
@@ -611,7 +611,7 @@ def _random_overlap_system(rng):
                 node_ids=ids,
             )
         )
-    return build_multinetwork(nets, memberships)
+    return MultiNetworkSystem(networks=nets, memberships=memberships)
 
 
 def check_overlap_nodes_counted_once(n_cases: int) -> None:

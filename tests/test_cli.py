@@ -131,8 +131,11 @@ def test_missing_scenario_is_error(tmp_path, capsys):
     [
         (["simulate"], "--scenario <file> or --profile <name>"),
         (["oracle", "--profile", "multi-50"], "single-network scenarios only"),
+        (["simulate", "--profile", "single-50", "--tol", "nan"], "convergence_tol must be finite"),
+        (["fixed-gain", "--profile", "single-50", "--gains", "1,inf"], "gains must be finite"),
+        (["fixed-gain", "--profile", "single-50", "--gains", "nan"], "gains must be finite"),
     ],
-    ids=["no-scenario", "oracle-on-multi"],
+    ids=["no-scenario", "oracle-on-multi", "nan-tol", "inf-gain", "nan-gain"],
 )
 def test_usage_error_is_one_error_line(capsys, argv, message):
     assert main(argv) == 1
@@ -184,16 +187,43 @@ def test_divergence_is_error(tmp_path, capsys):
     assert "diverged" in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
-    "edit, path",
+    "edit, named",
     [
         (lambda d: d.pop("threshold"), "threshold"),
         (lambda d: d["ga"].update(population_size="100"), "ga.population_size"),
         (lambda d: d["networks"][0].pop("gamma"), "networks[0].gamma"),
+        (lambda d: d["sim"].update(convergence_tol=NAN), "convergence_tol must be finite"),
+        (lambda d: d["sim"].update(dt=NAN), "dt must be finite"),
+        (lambda d: d["sim"].update(horizon=INF), "horizon must be finite"),
+        (lambda d: d["ga"].update(penalty_coeff=NAN), "penalty_coeff must be finite"),
+        (lambda d: d["ga"].update(fixed_gain=INF), "fixed_gain must be finite"),
+        (lambda d: d["ga"]["stability"].update(c_max=INF), "c_max must be finite"),
+        (lambda d: d["ga"]["stability"].update(delta=NAN), "delta must be finite"),
+        (lambda d: d["networks"][0].update(init_std=NAN), "init_std must be finite"),
+        (lambda d: d["networks"][0].update(target=NAN), "target must be finite"),
+        (lambda d: d["networks"][0].update(coupling_strength=INF), "coupling_strength must be"),
     ],
-    ids=["missing-threshold", "string-population-size", "missing-gamma"],
+    ids=[
+        "missing-threshold",
+        "string-population-size",
+        "missing-gamma",
+        "nan-convergence-tol",
+        "nan-dt",
+        "inf-horizon",
+        "nan-penalty-coeff",
+        "inf-fixed-gain",
+        "inf-c-max",
+        "nan-delta",
+        "nan-init-std",
+        "nan-target",
+        "inf-coupling",
+    ],
 )
-def test_malformed_scenario_is_error(tmp_path, capsys, edit, path):
+def test_malformed_scenario_is_error(tmp_path, capsys, edit, named):
     file = tmp_path / "single-50.json"
     assert main(["gen-scenario", "--profile", "single-50", "--out", str(file)]) == 0
     d = json.loads(file.read_text())
@@ -203,4 +233,4 @@ def test_malformed_scenario_is_error(tmp_path, capsys, edit, path):
     assert main(["simulate", "--scenario", str(file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert path in err
+    assert named in err

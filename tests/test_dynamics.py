@@ -14,18 +14,17 @@ from pinnet.dynamics import (
     convergence_time,
     export_errors_csv,
     export_trajectory_csv,
-    lyapunov_series,
     simulate_multi,
     simulate_single,
 )
 from pinnet.network import (
     DirectedNetwork,
-    build_multinetwork,
+    MultiNetworkSystem,
     generate_adjacency,
     make_network,
     single_network_system,
 )
-from pinnet.stability import PinningPlan, StabilityParams, solve_min_gain
+from pinnet.stability import StabilityParams, solve_min_gain
 
 from property_checks import stagewise_integrate
 
@@ -113,9 +112,7 @@ class TestSimulateMulti:
         x0 = rng.normal(45.0, 5.0, 6)
         sim = SimulationConfig(dt=1e-3, horizon=0.8)
         traj_a = simulate_single(net, pins, res.gain, x0, sim)
-        sys = single_network_system(net)
-        plan = PinningPlan.from_genes(sys, [pins], [res.gain])
-        traj_b = simulate_multi(sys, plan, x0, sim)
+        traj_b = simulate_multi(single_network_system(net), [pins], [res.gain], x0, sim)
         assert np.array_equal(traj_a.states, traj_b.states)
         assert np.array_equal(traj_a.errors, traj_b.errors)
 
@@ -125,10 +122,9 @@ class TestSimulateMulti:
             make_network(np.zeros((1, 1)), 1.0, 1.0, 60.0, node_ids=[0]),
             make_network(np.zeros((1, 1)), 1.0, 1.0, 60.0, node_ids=[0]),
         ]
-        sys = build_multinetwork(nets, [frozenset({0, 1})])
-        plan = PinningPlan.from_genes(sys, [np.ones(1), np.ones(1)], [1.0, 1.0])
+        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1})])
         sim = SimulationConfig(dt=1e-3, horizon=1.5)
-        traj = simulate_multi(sys, plan, np.array([65.0]), sim)
+        traj = simulate_multi(sys, [np.ones(1), np.ones(1)], [1.0, 1.0], np.array([65.0]), sim)
         for t in (0.5, 1.0, 1.5):
             idx = int(round(t / sim.dt))
             assert abs(traj.errors[idx, 0] - 5.0 * np.exp(-2.0 * t)) <= 1e-6
@@ -138,11 +134,31 @@ class TestSimulateMulti:
             make_network(np.zeros((1, 1)), 1.0, 1.0, 50.0, node_ids=[0]),
             make_network(np.zeros((1, 1)), 1.0, 1.0, 70.0, node_ids=[0]),
         ]
-        sys = build_multinetwork(nets, [frozenset({0, 1})])
-        plan = PinningPlan.from_genes(sys, [np.ones(1), np.ones(1)], [1.0, 1.0])
-        traj = simulate_multi(sys, plan, np.array([60.0]), SimulationConfig(horizon=0.1))
+        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1})])
+        sim = SimulationConfig(horizon=0.1)
+        traj = simulate_multi(sys, [np.ones(1), np.ones(1)], [1.0, 1.0], np.array([60.0]), sim)
         # starting on the composite target keeps the error identically zero
         assert np.all(traj.errors == 0.0)
+
+    @pytest.mark.parametrize(
+        "pins, gains, message",
+        [
+            ([np.ones(1)], [1.0, 1.0], "one gene vector and one gain per network"),
+            ([np.ones(1)] * 2, [1.0], "one gene vector and one gain per network"),
+            ([np.ones(1), np.ones(2)], [1.0, 1.0], "gene vector length must match"),
+            ([np.ones(1)] * 2, [1.0, -0.5], "finite nonnegative gain, got -0.5"),
+            ([np.ones(1)] * 2, [float("nan"), 1.0], "finite nonnegative gain, got nan"),
+            ([np.ones(1)] * 2, [1.0, float("inf")], "finite nonnegative gain, got inf"),
+            ([np.ones(1)] * 2, [None, 1.0], "finite nonnegative gain, got None"),
+        ],
+        ids=["one-pin-vector", "one-gain", "long-pin-vector", "negative-gain", "nan-gain",
+             "inf-gain", "unsolved-gain"],
+    )
+    def test_rejects_a_malformed_plan(self, pins, gains, message):
+        nets = [make_network(np.zeros((1, 1)), 1.0, 1.0, 60.0, node_ids=[0]) for _ in range(2)]
+        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1})])
+        with pytest.raises(ValueError, match=message):
+            simulate_multi(sys, pins, gains, np.array([65.0]), SimulationConfig(horizon=0.1))
 
 
 class TestConvergenceTime:
@@ -184,8 +200,9 @@ class TestConvergenceTime:
         assert convergence_time(traj, 0.1) is None
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            convergence_time(self._traj(np.zeros(3)), 0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                convergence_time(self._traj(np.zeros(3)), tol)
 
 
 class TestLyapunovSeries:
@@ -194,30 +211,19 @@ class TestLyapunovSeries:
         traj = simulate_single(
             net, np.ones(1), 1.0, np.array([5.0]), SimulationConfig(horizon=0.2)
         )
-        values, derivative = lyapunov_series(traj, q=1.0)
-        assert np.all(values == 0.0) and np.all(derivative == 0.0)
+        assert np.all(traj.lyapunov == 0.0) and np.all(np.diff(traj.lyapunov) == 0.0)
 
     def test_exponential_error_closed_form(self):
         net = scalar_net()
         sim = SimulationConfig(dt=1e-3, horizon=1.0)
         traj = simulate_single(net, np.ones(1), 1.0, np.array([6.0]), sim)
-        values, derivative = lyapunov_series(traj, q=1.0)
+        values = traj.lyapunov
+        derivative = np.diff(values) / np.diff(traj.times)
         expected = np.exp(-2.0 * traj.times)
         assert np.max(np.abs(values - expected)) <= 1e-5
         # forward difference of exp(-2t) sits within O(dt) of -2 V
         resid = derivative + 2.0 * values[:-1]
         assert np.max(np.abs(resid) / values[:-1]) <= 3e-3
-
-    def test_scaling_in_q(self):
-        net = scalar_net()
-        traj = simulate_single(
-            net, np.ones(1), 1.0, np.array([6.0]), SimulationConfig(horizon=0.5)
-        )
-        v1, _ = lyapunov_series(traj, q=1.0)
-        v3, _ = lyapunov_series(traj, q=3.0)
-        assert np.allclose(v3, 3.0 * v1, rtol=0, atol=1e-14)
-        with pytest.raises(ValueError):
-            lyapunov_series(traj, q=0.0)
 
     def test_certified_run_decays_at_least_at_strictness_rate(self):
         # with a certificate of margin >= 0 at strictness delta, the discrete
@@ -234,8 +240,8 @@ class TestLyapunovSeries:
         assert res.feasible
         x0 = rng.normal(100.0, 15.0, 40)
         traj = simulate_single(net, pins, res.gain, x0, SimulationConfig(horizon=5.0))
-        values, derivative = lyapunov_series(traj, q=1.0)
-        err_sq = traj.lyapunov[:-1]  # q = 1: sum of squared node errors
+        derivative = np.diff(traj.lyapunov) / np.diff(traj.times)
+        err_sq = traj.lyapunov[:-1]  # sum of squared node errors
         bound = -(delta - 0.05 * delta) * err_sq
         assert np.all(derivative[1:] <= bound[1:] + 1e-12)
 

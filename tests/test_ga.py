@@ -18,7 +18,7 @@ from pinnet.ga import (
 )
 from pinnet.harness import build_system, builtin_scenario
 from pinnet.network import (
-    build_multinetwork,
+    MultiNetworkSystem,
     generate_adjacency,
     make_network,
     single_network_system,
@@ -47,7 +47,7 @@ def overlap_system(seed=0):
         frozenset({1}),
         frozenset({1}),
     ]
-    return build_multinetwork(nets, memberships)
+    return MultiNetworkSystem(networks=nets, memberships=memberships)
 
 
 def genes(*bits):
@@ -118,6 +118,24 @@ class TestFitness:
         ind = fitness(genes(0, 0, 1, 0, 0), sys, GaConfig())
         assert ind.pinned_count == 1
         assert [g.tolist() for g in ind.genes] == [[0, 0, 1], [1, 0, 0]]
+
+    def test_multi_network_xi_is_the_sum_of_network_violations(self):
+        delta, c_max = 1.0, 2.0
+        cfg = GaConfig(stability=StabilityParams(delta=delta, c_max=c_max))
+        rng = np.random.default_rng(2)
+        seen = {True: 0, False: 0}
+        for seed in range(6):
+            sys = overlap_system(seed)
+            row = (rng.random(sys.total_nodes) < 0.7).astype(np.uint8)
+            expected = 0.0
+            for net in sys.networks:
+                pins = row[net.node_ids].astype(float)
+                m_top = 2.0 * 0.8 * net.lap.symmetric_part + 2.0 * c_max * np.diag(pins)
+                short = np.maximum(0.0, delta - np.linalg.eigvalsh(m_top))
+                expected += float(np.sqrt((short**2).sum()))
+            assert abs(fitness(row, sys, cfg).xi - expected) <= 1e-12
+            seen[expected == 0.0] += 1
+        assert seen[True] > 0 and seen[False] > 0  # both branches are exercised
 
     def test_shape_mismatch_rejected(self):
         sys = small_system()
@@ -372,8 +390,11 @@ class TestEvolve:
         assert lines[0].startswith("generation,best_fitness")
         assert len(lines) == 1 + len(report.generations)
         if report.best_feasible is not None:
-            plan = report.best_plan(sys)
-            assert plan.pinned_count == report.best_feasible.pinned_count
+            # the plan is one gene vector per network, an overlap node counted once
+            plan = report.best_feasible.genes
+            pinned = {int(i) for net, g in zip(sys.networks, plan) for i in net.node_ids[g == 1]}
+            assert len(pinned) == report.best_feasible.pinned_count
+            assert len(report.feasible_gains) == sys.num_networks
 
     def test_adaptive_penalty_runs(self, monkeypatch):
         tests, solves, parents = [], [], []

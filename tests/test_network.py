@@ -7,7 +7,7 @@ from pinnet.network import (
     PROFILES,
     DirectedNetwork,
     MembershipProfile,
-    build_multinetwork,
+    MultiNetworkSystem,
     generate_adjacency,
     generate_membership,
     laplacian,
@@ -148,7 +148,7 @@ class TestMultiNetwork:
             node_ids=np.array([1]),
         )
         memberships = [frozenset({0}), frozenset({0, 1})]
-        return build_multinetwork([net0, net1], memberships)
+        return MultiNetworkSystem(networks=[net0, net1], memberships=memberships)
 
     def test_composite_is_mean_of_two(self):
         sys = self._two_nets((50.0, 70.0))
@@ -168,7 +168,7 @@ class TestMultiNetwork:
                     node_ids=np.array([0]),
                 )
             )
-        sys = build_multinetwork(nets, [frozenset({0, 1, 2})])
+        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1, 2})])
         assert sys.composite_targets[0, 0] == 80.0
 
     def test_equal_targets_compose_to_same(self):
@@ -178,20 +178,20 @@ class TestMultiNetwork:
     def test_orphan_node_rejected(self):
         net = make_network(np.zeros((1, 1)), 1.0, 1.0, 5.0, node_ids=[0])
         with pytest.raises(ValueError, match="orphan"):
-            build_multinetwork([net], [frozenset({0}), frozenset()])
+            MultiNetworkSystem(networks=[net], memberships=[frozenset({0}), frozenset()])
 
     def test_inconsistent_span_rejected(self):
         # network claims nodes {0, 1} but memberships put node 2 in it too
         net = make_network(np.zeros((2, 2)), 1.0, 1.0, 5.0, node_ids=[0, 1])
         with pytest.raises(ValueError, match="inconsistent"):
-            build_multinetwork(
-                [net], [frozenset({0}), frozenset({0}), frozenset({0})]
+            MultiNetworkSystem(
+                networks=[net], memberships=[frozenset({0}), frozenset({0}), frozenset({0})]
             )
 
     def test_unknown_network_index_rejected(self):
         net = make_network(np.zeros((1, 1)), 1.0, 1.0, 5.0, node_ids=[0])
         with pytest.raises(ValueError, match="unknown network"):
-            build_multinetwork([net], [frozenset({0, 3})])
+            MultiNetworkSystem(networks=[net], memberships=[frozenset({0, 3})])
 
     def test_single_network_wrapper(self):
         net = make_network(generate_adjacency(5, 0.5, 2), 0.8, 1.0, 90.0)

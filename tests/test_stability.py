@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from pinnet import stability
-from pinnet.network import generate_adjacency, laplacian, make_network
+from pinnet.network import (
+    DirectedNetwork,
+    MultiNetworkSystem,
+    generate_adjacency,
+    laplacian,
+    make_network,
+)
 from pinnet.stability import (
     CertificateTest,
-    FeasibilityResult,
-    PinningPlan,
     StabilityParams,
     check_gain,
-    infeasibility_multi,
-    joint_stability_margin,
-    min_eigenvalue,
     solve_min_gain,
     stability_matrix,
-    violation_norm,
 )
 from property_checks import bisect_min_gain
 from test_network import char_poly_roots
@@ -39,13 +39,13 @@ class TestStabilityMatrix:
     def test_empty_graph_all_pinned(self):
         m = stability_matrix(np.zeros((2, 2)), np.ones(2), 1.0, 1.0, 1.0)
         assert np.array_equal(m, 2.0 * np.eye(2))
-        assert min_eigenvalue(m) == 2.0
+        assert np.linalg.eigvalsh(m)[0] == 2.0
 
     def test_two_node_worked_example(self):
         l_sym = np.array([[0.5, -0.5], [-0.5, 0.5]])
         m = stability_matrix(l_sym, np.array([1.0, 0.0]), 0.8, 2.0, 1.0)
         assert np.allclose(m, [[4.8, -0.8], [-0.8, 0.8]], atol=1e-15)
-        assert abs(min_eigenvalue(m) - eig2x2_min(m)) <= 1e-12
+        assert abs(np.linalg.eigvalsh(m)[0] - eig2x2_min(m)) <= 1e-12
 
     def test_zero_gain_drops_pin_term(self):
         g = generate_adjacency(5, 0.4, 3)
@@ -56,35 +56,15 @@ class TestStabilityMatrix:
     def test_validation(self):
         with pytest.raises(ValueError, match="does not match"):
             stability_matrix(np.zeros((3, 3)), np.ones(2), 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="symmetric"):
-            stability_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), 1.0, 1.0, 1.0)
+        for l_sym in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [2.0 + 1e-6, 1.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                stability_matrix(np.array(l_sym), np.ones(2), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="0 or 1"):
             stability_matrix(np.zeros((2, 2)), np.array([0.5, 1.0]), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             stability_matrix(np.zeros((2, 2)), np.ones(2), -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             stability_matrix(np.zeros((2, 2)), np.ones(2), 1.0, -0.1, 1.0)
-
-
-class TestMinEigenvalue:
-    def test_diagonal(self):
-        assert min_eigenvalue(np.diag([3.0, 5.0])) == 3.0
-
-    def test_symmetric_2x2(self):
-        assert abs(min_eigenvalue(np.array([[2.0, 1.0], [1.0, 2.0]])) - 1.0) <= 1e-12
-
-    def test_matches_char_poly_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            a = rng.normal(size=(6, 6))
-            m = (a + a.T) / 2.0
-            oracle = np.min(char_poly_roots(m).real)
-            assert abs(min_eigenvalue(m) - oracle) <= 1e-8
-
-    def test_rejects_asymmetric(self):
-        m = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            min_eigenvalue(m)
 
 
 class TestSolveMinGain:
@@ -215,6 +195,17 @@ class TestCheckGain:
         assert not bad.feasible and bad.gain is None
         assert abs(bad.xi - hinge_norm(np.array([[0.8]]), 1.0)) <= 1e-15
 
+    def test_margin_matches_char_poly_oracle(self):
+        rng = np.random.default_rng(17)
+        params = StabilityParams(delta=1.0)
+        for _ in range(25):
+            a = rng.normal(size=(6, 6))
+            l_sym = (a + a.T) / 2.0
+            pins = (rng.random(6) < 0.5).astype(float)
+            res = check_gain(l_sym, pins, 1.0, 1.0, 2.0, params)
+            oracle = np.min(char_poly_roots(stability_matrix(l_sym, pins, 1.0, 2.0, 1.0)).real)
+            assert abs(res.margin - (oracle - params.delta)) <= 1e-8
+
 
 class TestCertificateTest:
     def test_eigensolves_only_what_cholesky_rejects(self):
@@ -240,55 +231,37 @@ class TestCertificateTest:
                 test.xi(pins)
 
 
-class TestInfeasibilityMulti:
-    def _mk(self, xi: float) -> FeasibilityResult:
-        feasible = xi == 0.0
-        return FeasibilityResult(
-            feasible=feasible, gain=1.0 if feasible else None, margin=0.0, xi=xi
-        )
-
-    def test_all_feasible_sums_to_zero(self):
-        assert infeasibility_multi([self._mk(0.0)] * 3) == 0.0
-
-    def test_arithmetic_sum(self):
-        assert infeasibility_multi([self._mk(0.0), self._mk(1.5), self._mk(2.5)]) == 4.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            infeasibility_multi([])
-
-    def test_matches_direct_recomputation(self):
-        params = StabilityParams(delta=1.0, c_max=2.0)
-        rng = np.random.default_rng(2)
-        results, expected = [], 0.0
-        for seed in range(3):
-            g = generate_adjacency(4, 0.3, seed)
-            l_sym = laplacian(g).symmetric_part
-            pins = (rng.random(4) < 0.3).astype(float)
-            res = solve_min_gain(l_sym, pins, 0.8, 1.0, params)
-            results.append(res)
-            m_top = 2.0 * 0.8 * l_sym + 2.0 * params.c_max * np.diag(pins)
-            if np.linalg.eigvalsh(m_top)[0] < params.delta:
-                expected += hinge_norm(m_top, params.delta)
-        assert abs(infeasibility_multi(results) - expected) <= 1e-12
-        assert expected > 0.0  # the case mix exercises the infeasible branch
-
-
 class TestViolationNorm:
     def test_zero_on_certified_matrix(self):
-        assert violation_norm(3.0 * np.eye(4), delta=1.0) == 0.0
+        # M = 2 * L_s = 3 I against delta = 1
+        res = check_gain(1.5 * np.eye(4), np.zeros(4), 1.0, 1.0, 1.0, StabilityParams(delta=1.0))
+        assert res.feasible and res.xi == 0.0
 
     def test_uncontrolled_zero_matrix(self):
-        assert abs(violation_norm(np.zeros((4, 4)), delta=2.0) - 2.0 * 2.0) <= 1e-15
+        res = check_gain(np.zeros((4, 4)), np.zeros(4), 1.0, 1.0, 1.0, StabilityParams(delta=2.0))
+        assert abs(res.xi - 2.0 * 2.0) <= 1e-15
+
+
+def joint_stability_margin(sys, pins, gains, params: StabilityParams) -> float:
+    """q * lambda_min - delta of the summed (whole-system) stability inequality.
+
+    Every network's test matrix is embedded into global coordinates and the
+    embeddings are summed.  Per-network feasibility at the plan's gains
+    implies this margin is nonnegative.
+    """
+    n = sys.total_nodes
+    joint = np.zeros((n, n))
+    for net, vec, gain in zip(sys.networks, pins, gains):
+        m = stability_matrix(net.lap.symmetric_part, vec, net.coupling_strength, gain, net.gamma)
+        idx = net.node_ids
+        joint[np.ix_(idx, idx)] += m
+    return params.q * float(np.linalg.eigvalsh(joint)[0]) - params.delta
 
 
 class TestJointMargin:
     def test_nonnegative_when_all_networks_certified(self):
-        from pinnet.network import build_multinetwork, DirectedNetwork
-
         params = StabilityParams(delta=1.0)
         nets, genes, gains = [], [], []
-        rng = np.random.default_rng(0)
         for k in range(2):
             g = generate_adjacency(4, 0.4, k)
             ids = np.arange(4) if k == 0 else np.array([1, 2, 3])
@@ -310,6 +283,5 @@ class TestJointMargin:
             genes.append(pins)
             gains.append(res.gain)
         memberships = [frozenset({0}), frozenset({0, 1}), frozenset({0, 1}), frozenset({0, 1})]
-        sys = build_multinetwork(nets, memberships)
-        plan = PinningPlan.from_genes(sys, genes, gains)
-        assert joint_stability_margin(sys, plan, params) >= -1e-9
+        sys = MultiNetworkSystem(networks=nets, memberships=memberships)
+        assert joint_stability_margin(sys, genes, gains, params) >= -1e-9
