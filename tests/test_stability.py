@@ -53,12 +53,14 @@ class TestStabilityMatrix:
         m = stability_matrix(l_sym, np.ones(5), 0.7, 0.0, 1.3)
         assert np.allclose(m, 2.0 * 0.7 * 1.3 * l_sym, atol=1e-15)
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="does not match"):
-            stability_matrix(np.zeros((3, 3)), np.ones(2), 1.0, 1.0, 1.0)
+    def test_rejects_asymmetric(self):
         for l_sym in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [2.0 + 1e-6, 1.0]]):
             with pytest.raises(ValueError, match="symmetric"):
                 stability_matrix(np.array(l_sym), np.ones(2), 1.0, 1.0, 1.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="does not match"):
+            stability_matrix(np.zeros((3, 3)), np.ones(2), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="0 or 1"):
             stability_matrix(np.zeros((2, 2)), np.array([0.5, 1.0]), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
