@@ -19,9 +19,7 @@ from .network import (
     generate_membership,
     laplacian,
     load_adjacency,
-    make_network,
     save_adjacency,
-    single_network_system,
 )
 from .stability import (
     FeasibilityResult,
@@ -38,14 +36,12 @@ from .dynamics import (
     export_errors_csv,
     export_trajectory_csv,
     simulate_multi,
-    simulate_single,
 )
 from .ga import (
     GaConfig,
     GaReport,
     crossover,
     evolve,
-    fitness,
     init_population,
     mutate,
     tournament_select,

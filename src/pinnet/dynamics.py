@@ -1,8 +1,8 @@
 """Fixed-step integration of the coupled consensus dynamics.
 
-Node states evolve under diffusive coupling plus pinning feedback.  Both the
-single- and multi-network simulators integrate the deviation e_i = x_i - x_i*
-from each node's (composite) target, whose dynamics are linear:
+Node states evolve under diffusive coupling plus pinning feedback.  The
+simulator integrates the deviation e_i = x_i - x_i* from each node's
+(composite) target, whose dynamics are linear (one network is the K = 1 case):
 
     de/dt = sum_k [ -C_k*gamma_k*L^(k) - c_k*gamma_k*D_hat^(k) ] e,
 
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import DirectedNetwork, MultiNetworkSystem, single_network_system
+from .network import DirectedNetwork, MultiNetworkSystem
 
 DIVERGENCE_LIMIT = 1e12
 # Steps integrated between divergence checks.
@@ -181,17 +181,6 @@ def simulate_multi(
     x = _as_states(x0, sys.total_nodes, sys.state_dim)
     a = _assemble_drift(sys, pins, gains)
     return _integrate(a, x - targets, targets, sim)
-
-
-def simulate_single(
-    net: DirectedNetwork,
-    d_hat: np.ndarray,
-    gain: float,
-    x0: np.ndarray,
-    sim: SimulationConfig,
-) -> Trajectory:
-    """Integrate one network pulling pinned nodes toward its target."""
-    return simulate_multi(single_network_system(net), [d_hat], [gain], x0, sim)
 
 
 def convergence_time(traj: Trajectory, tol: float) -> Optional[float]:
@@ -402,11 +391,8 @@ def _format_rows(block: np.ndarray, words: np.ndarray, keep: np.ndarray) -> np.n
 
 
 def _write_series_csv(
-    path: str | Path, times: np.ndarray, table: np.ndarray, labels: list[str], stride: int
+    path: str | Path, times: np.ndarray, table: np.ndarray, labels: list[str]
 ) -> None:
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    times, table = times[::stride], table[::stride]
     width = len(labels) + 1
     step = max(1, _CSV_VALUES // width)
     words = np.empty((step * width, _W // 4), dtype=np.uint32)
@@ -418,22 +404,21 @@ def _write_series_csv(
             fh.write(_format_rows(block, words[: block.size], keep[: block.size]))
 
 
-def export_trajectory_csv(traj: Trajectory, path: str | Path, stride: int = 1) -> None:
-    """Write sampled states, one row per instant, 17 significant digits.
+def export_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    """Write the states of every step, one row per instant, 17 significant digits.
 
     Columns are node_0..node_{N-1} for scalar states; for m > 1 every
-    component gets its own node_{i}_{j} column.  ``stride`` keeps every n-th
-    sample (plus the first); the in-memory trajectory always holds every step.
+    component gets its own node_{i}_{j} column.
     """
     s, n, m = traj.states.shape
     if m == 1:
         labels = [f"node_{i}" for i in range(n)]
     else:
         labels = [f"node_{i}_{j}" for i in range(n) for j in range(m)]
-    _write_series_csv(path, traj.times, traj.states.reshape(s, n * m), labels, stride)
+    _write_series_csv(path, traj.times, traj.states.reshape(s, n * m), labels)
 
 
-def export_errors_csv(traj: Trajectory, path: str | Path, stride: int = 1) -> None:
+def export_errors_csv(traj: Trajectory, path: str | Path) -> None:
     """Write per-node error norms with the same shape as the trajectory CSV."""
     labels = [f"node_{i}" for i in range(traj.n_nodes)]
-    _write_series_csv(path, traj.times, traj.errors, labels, stride)
+    _write_series_csv(path, traj.times, traj.errors, labels)

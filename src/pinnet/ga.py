@@ -112,25 +112,6 @@ def _fitness(counts: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
     return np.where(xi == 0.0, counts, counts + lam * xi)
 
 
-def fitness(
-    genes: np.ndarray,
-    sys: MultiNetworkSystem,
-    cfg: GaConfig,
-    penalty_coeff: Optional[float] = None,
-) -> Individual:
-    """Evaluate one chromosome row: distinct-pin count plus violation penalty.
-
-    Tests each network's certificate at cfg.fixed_gain when set, else at c_max,
-    which certifies exactly the sets that some gain up to c_max does (lambda_min
-    does not fall as the gain grows).  Feasible sets score their pinned count.
-    """
-    lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
-    rows = np.asarray(genes)[None]
-    counts = _pinned_counts(rows, sys)
-    xi = _violations(rows, _certificate_tests(sys, cfg), sys)
-    return _individual(sys, rows[0], _fitness(counts, xi, lam)[0], counts[0], xi[0])
-
-
 def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[CertificateTest]:
     """One certificate test per network at the search gain: fixed_gain, else c_max."""
     gain = cfg.stability.c_max if cfg.fixed_gain is None else cfg.fixed_gain

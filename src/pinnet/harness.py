@@ -181,24 +181,13 @@ def build_system(sc: Scenario, trial_index: int = 0) -> MultiNetworkSystem:
     """Construct the trial's networks from the derived seeds."""
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
     prof = sc.resolved_profile()
-    n_total = prof.total_nodes
-    memberships = generate_membership(n_total, prof, seeds["membership"])
+    memberships = generate_membership(prof.total_nodes, prof, seeds["membership"])
     nets = []
     for k, spec in enumerate(sc.networks):
-        ids = np.array(
-            sorted(i for i in range(n_total) if k in memberships[i]), dtype=np.int64
-        )
+        ids = [i for i, m in enumerate(memberships) if k in m]
         g = generate_adjacency(len(ids), sc.threshold, seeds["adjacency"][k])
-        nets.append(
-            DirectedNetwork(
-                adjacency=g,
-                coupling_strength=spec.coupling_strength,
-                gamma=spec.gamma,
-                target=np.atleast_1d(np.float64(spec.target)),
-                node_ids=ids,
-            )
-        )
-    return MultiNetworkSystem(networks=nets, memberships=memberships)
+        nets.append(DirectedNetwork(g, spec.coupling_strength, spec.gamma, spec.target, ids))
+    return MultiNetworkSystem(tuple(nets))
 
 
 def draw_initial_states(
@@ -507,11 +496,11 @@ def brute_force_min_pinning(
 ) -> Optional[tuple[int, np.ndarray]]:
     """Exhaustive minimal pinning set, for small networks only.
 
-    Walks subsets in increasing cardinality (lexicographic within a size) and
-    returns the first one certifiable at c_max, or None when even pinning
-    everything fails.  Every subset goes through the search's certificate
-    test, so the oracle and the GA share one feasibility rule.  Refuses
-    networks above 16 nodes.
+    Scores every subset of one size in one call, in increasing size, and
+    returns the lexicographically first subset of the smallest size that
+    certifies at c_max, or None when even pinning everything fails.  Every
+    subset goes through the search's certificate test, so the oracle and the
+    GA share one feasibility rule.  Refuses networks above 16 nodes.
     """
     n = net.n
     if n > BRUTE_FORCE_NODE_CAP:
@@ -522,11 +511,12 @@ def brute_force_min_pinning(
         net.lap.symmetric_part, net.coupling_strength, net.gamma, params.c_max, params
     )
     for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            pins = np.zeros(n)
-            pins[list(subset)] = 1.0
-            if test.xi(pins) == 0.0:
-                return size, pins
+        subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+        pins = np.zeros((len(subsets), n))
+        pins[np.arange(len(subsets))[:, np.newaxis], subsets] = 1.0
+        passing = np.flatnonzero(test.xis(pins) == 0.0)
+        if passing.size:
+            return size, pins[passing[0]]
     return None
 
 
@@ -682,7 +672,12 @@ def _decode_fields(cls, d: dict, path: str):
             kwargs[f.name] = _decode(hints[f.name], d[f.name], sub)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"scenario is missing required key {sub}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"scenario key {path}: {exc}") from None
 
 
 def scenario_from_dict(d: dict) -> Scenario:

@@ -3,17 +3,17 @@
 A network couples nodes through an asymmetric nonnegative adjacency matrix G
 (zero diagonal).  The associated Laplacian L has row sums zero; because G is
 asymmetric, stability analysis works with the symmetric part
-L_s = (L + L^T) / 2.  Several networks may share nodes: each node carries a
-membership set of network indices, nodes in two or more networks form the
-overlap set, and every node gets a composite target equal to the arithmetic
-mean of its member networks' targets.
+L_s = (L + L^T) / 2.  Several networks may share nodes: a system is its
+networks, each node's membership set is the networks whose node ids contain
+it, and every node gets a composite target equal to the arithmetic mean of
+its member networks' targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -74,34 +74,38 @@ class DirectedNetwork:
     """One coupled network: adjacency, coupling constants and target state.
 
     ``node_ids`` are the global node identifiers this network spans, in the
-    order used by the adjacency rows/columns.  ``target`` is the consensus
-    state all member nodes should reach (an m-vector; scalars are promoted to
-    m = 1).  The Laplacian pair is derived eagerly and cached on the instance.
+    order used by the adjacency rows/columns (0..n-1 when omitted).
+    ``target`` is the consensus state all member nodes should reach (an
+    m-vector; scalars are promoted to m = 1).  The Laplacian pair is derived
+    eagerly and cached on the instance.
     """
 
     adjacency: np.ndarray
     coupling_strength: float
-    gamma: float
-    target: np.ndarray
-    node_ids: np.ndarray
+    gamma: float = 1.0
+    target: float | Sequence[float] | np.ndarray = 0.0
+    node_ids: Optional[Sequence[int] | np.ndarray] = None
     n: int = field(init=False)
     lap: LaplacianPair = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.adjacency, dtype=np.float64)
         pair = laplacian(g)  # validates shape, diagonal and sign
-        if self.coupling_strength <= 0.0:
-            raise ValueError("coupling_strength must be > 0")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
+        for name in ("coupling_strength", "gamma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         target = np.atleast_1d(np.asarray(self.target, dtype=np.float64))
         if target.ndim != 1:
             raise ValueError("target must be a scalar or 1-d state vector")
-        ids = np.asarray(self.node_ids, dtype=np.int64)
+        ids = np.arange(len(g)) if self.node_ids is None else self.node_ids
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (g.shape[0],):
             raise ValueError("node_ids length must match adjacency size")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("node_ids must be unique")
+        if np.any(ids < 0):
+            raise ValueError("node_ids must be >= 0")
         object.__setattr__(self, "adjacency", _frozen(g))
         object.__setattr__(self, "target", _frozen(target))
         object.__setattr__(self, "node_ids", _frozen(ids))
@@ -111,26 +115,6 @@ class DirectedNetwork:
     @property
     def state_dim(self) -> int:
         return self.target.shape[0]
-
-
-def make_network(
-    adjacency: np.ndarray,
-    coupling_strength: float,
-    gamma: float = 1.0,
-    target: float | Sequence[float] = 0.0,
-    node_ids: Sequence[int] | None = None,
-) -> DirectedNetwork:
-    """Convenience constructor; node_ids default to 0..n-1."""
-    g = np.asarray(adjacency, dtype=np.float64)
-    if node_ids is None:
-        node_ids = np.arange(g.shape[0], dtype=np.int64)
-    return DirectedNetwork(
-        adjacency=g,
-        coupling_strength=coupling_strength,
-        gamma=gamma,
-        target=np.atleast_1d(np.asarray(target, dtype=np.float64)),
-        node_ids=np.asarray(node_ids, dtype=np.int64),
-    )
 
 
 @dataclass(frozen=True)
@@ -227,51 +211,42 @@ def generate_membership(
 
 @dataclass(frozen=True)
 class MultiNetworkSystem:
-    """K networks over a shared global node set with composite targets.
+    """K networks over the shared global nodes 0..N-1 with composite targets.
 
-    ``memberships[i]`` is the set of network indices node i belongs to;
-    ``overlap_set`` collects nodes with two or more memberships; and
-    ``composite_targets`` holds, per node, the mean of the member networks'
-    targets (an (N, m) array).
+    Everything but the networks is derived from their node ids:
+    ``memberships[i]`` is the set of networks whose ids contain node i, N is
+    one more than the largest id, and ``composite_targets`` holds, per node,
+    the mean of the member networks' targets (an (N, m) array).  Every node
+    0..N-1 must belong to some network.
     """
 
     networks: tuple[DirectedNetwork, ...]
-    memberships: tuple[frozenset[int], ...]
+    memberships: tuple[frozenset[int], ...] = field(init=False)
     total_nodes: int = field(init=False)
-    overlap_set: frozenset[int] = field(init=False)
     composite_targets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nets = tuple(self.networks)
-        memb = tuple(frozenset(m) for m in self.memberships)
-        n_total = len(memb)
-        k_total = len(nets)
-        if k_total < 1:
+        if not nets:
             raise ValueError("a system needs at least one network")
-        for i, m in enumerate(memb):
-            if not m:
-                raise ValueError(f"orphan node {i}: belongs to no network")
-            if any(k < 0 or k >= k_total for k in m):
-                raise ValueError(f"node {i} references an unknown network index")
         dims = {net.state_dim for net in nets}
         if len(dims) != 1:
             raise ValueError("all networks must share one state dimension m")
-        m_dim = dims.pop()
+        n_total = max((int(net.node_ids.max()) + 1 for net in nets if net.n), default=0)
+        memb: list[set[int]] = [set() for _ in range(n_total)]
+        total = np.zeros((n_total, dims.pop()))
         for k, net in enumerate(nets):
-            expected = frozenset(i for i in range(n_total) if k in memb[i])
-            if frozenset(int(j) for j in net.node_ids) != expected:
-                raise ValueError(
-                    f"network {k} spans nodes inconsistent with the memberships"
-                )
-        overlap = frozenset(i for i, m in enumerate(memb) if len(m) >= 2)
-        comp = np.zeros((n_total, m_dim))
+            for i in net.node_ids.tolist():
+                memb[i].add(k)
+            total[net.node_ids] += net.target
         for i, m in enumerate(memb):
-            comp[i] = np.mean([nets[k].target for k in sorted(m)], axis=0)
+            if not m:
+                raise ValueError(f"orphan node {i}: belongs to no network")
+        counts = np.array([len(m) for m in memb], dtype=np.float64)
         object.__setattr__(self, "networks", nets)
-        object.__setattr__(self, "memberships", memb)
+        object.__setattr__(self, "memberships", tuple(frozenset(m) for m in memb))
         object.__setattr__(self, "total_nodes", n_total)
-        object.__setattr__(self, "overlap_set", overlap)
-        object.__setattr__(self, "composite_targets", _frozen(comp))
+        object.__setattr__(self, "composite_targets", _frozen(total / counts[:, None]))
 
     @property
     def num_networks(self) -> int:
@@ -280,16 +255,6 @@ class MultiNetworkSystem:
     @property
     def state_dim(self) -> int:
         return self.networks[0].state_dim
-
-
-def single_network_system(net: DirectedNetwork) -> MultiNetworkSystem:
-    """Wrap one network as a degenerate K=1 system on its own nodes."""
-    ids = net.node_ids
-    if not np.array_equal(ids, np.arange(len(ids))):
-        raise ValueError("single-network wrapping expects node_ids 0..n-1")
-    return MultiNetworkSystem(
-        networks=(net,), memberships=tuple(frozenset({0}) for _ in range(net.n))
-    )
 
 
 def save_adjacency(path: str | Path, adjacency: np.ndarray) -> None:

@@ -103,16 +103,16 @@ def stability_matrix(
 ) -> np.ndarray:
     """Form M = 2*C*gamma*L_s + 2*c*gamma*D_hat, the reduced test matrix."""
     base = _coupling_term(l_sym, coupling, gamma)
-    if gain < 0.0:
-        raise ValueError("gain must be >= 0")
+    if not (np.isfinite(gain) and gain >= 0.0):
+        raise ValueError(f"gain must be finite and >= 0, got {gain!r}")
     return _with_pins(base, _as_pin_vector(d_hat, len(base)), gain, gamma)
 
 
 def _coupling_term(l_sym: np.ndarray, coupling: float, gamma: float) -> np.ndarray:
-    """2*C*gamma*L_s, once L_s is checked symmetric and C, gamma positive."""
+    """2*C*gamma*L_s, once L_s is checked symmetric and C, gamma finite and positive."""
     l_sym = _check_symmetric(l_sym)
-    if coupling <= 0.0 or gamma <= 0.0:
-        raise ValueError("coupling and gamma must be > 0")
+    if not (np.isfinite(coupling) and coupling > 0.0 and np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"coupling and gamma must be finite and > 0, got {coupling!r}, {gamma!r}")
     return 2.0 * coupling * gamma * l_sym
 
 
@@ -191,8 +191,8 @@ class CertificateTest:
         params: StabilityParams,
     ):
         base = _coupling_term(l_sym, coupling, gamma)
-        if gain < 0.0:
-            raise ValueError("gain must be >= 0")
+        if not (np.isfinite(gain) and gain >= 0.0):
+            raise ValueError(f"gain must be finite and >= 0, got {gain!r}")
         n = len(base)
         norm_bound = float(np.linalg.norm(base)) + 2.0 * gamma * gain * n**0.5
         shift = params.delta / params.q + (n + 1) * _EPS * norm_bound
@@ -207,11 +207,6 @@ class CertificateTest:
         self._diagonals = self._stack.reshape(CHUNK_ROWS, n * n)[:, :: n + 1]
         self._params = params
         self.eigensolves = 0
-
-    def xi(self, d_hat: np.ndarray) -> float:
-        """The pin set's violation at the gain; zero exactly when it certifies."""
-        n = self._stack.shape[1]
-        return float(self.xis(_as_pin_vector(d_hat, n)[np.newaxis])[0])
 
     def xis(self, pins: np.ndarray) -> np.ndarray:
         """Each row's violation at the gain, for a (B, n) 0/1 matrix of pin sets."""

@@ -5,6 +5,7 @@ violation, so the same functions back both the granular property tests and the
 one-shot acceptance sweep.
 """
 
+import itertools
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -16,17 +17,16 @@ from pinnet.dynamics import (
     DivergenceError,
     SimulationConfig,
     _write_series_csv,
-    simulate_single,
+    simulate_multi,
 )
 from pinnet import ga
-from pinnet.ga import GaConfig, evolve, fitness
+from pinnet.ga import GaConfig, evolve
+from pinnet.harness import brute_force_min_pinning
 from pinnet.network import (
     DirectedNetwork,
     MultiNetworkSystem,
     generate_adjacency,
     laplacian,
-    make_network,
-    single_network_system,
 )
 from pinnet.stability import (
     CHUNK_ROWS,
@@ -115,6 +115,35 @@ def stagewise_integrate(
             raise DivergenceError(step=k + 1, time=(k + 1) * dt)
         path[k + 1] = e
     return path
+
+
+def score_row(genes, sys: MultiNetworkSystem, cfg: GaConfig, penalty_coeff=None) -> ga.Individual:
+    """One chromosome row scored by the search's own steps, as ``evolve`` scores a generation.
+
+    Each network's certificate is tested at cfg.fixed_gain when set, else at
+    c_max; the fitness is the pinned count plus the penalty times xi.
+    """
+    lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
+    rows = np.asarray(genes)[np.newaxis]
+    counts = ga._pinned_counts(rows, sys)
+    xi = ga._violations(rows, ga._certificate_tests(sys, cfg), sys)
+    return ga._individual(sys, rows[0], ga._fitness(counts, xi, lam)[0], counts[0], xi[0])
+
+
+def subset_loop_min_pinning(net: DirectedNetwork, params: StabilityParams):
+    """The subset-at-a-time walk ``brute_force_min_pinning`` ran before it scored
+    a whole size in one call, as its oracle: the first subset, by size and then
+    lexicographically, that certifies at c_max, or None."""
+    test = CertificateTest(
+        net.lap.symmetric_part, net.coupling_strength, net.gamma, params.c_max, params
+    )
+    for size in range(net.n + 1):
+        for subset in itertools.combinations(range(net.n), size):
+            pins = np.zeros(net.n)
+            pins[list(subset)] = 1.0
+            if test.xis(pins[np.newaxis])[0] == 0.0:
+                return size, pins
+    return None
 
 
 def _random_graph(rng, n_lo=2, n_hi=8):
@@ -297,16 +326,16 @@ def check_search_verdict_matches_solve(n_cases: int) -> None:
     seen = {True: 0, False: 0}
     for i in range(n_cases):
         g, coupling, gamma, pins, params = _gain_case(rng, i)
-        net = make_network(g, coupling, gamma)
-        sys = single_network_system(net)
+        net = DirectedNetwork(g, coupling, gamma)
+        sys = MultiNetworkSystem((net,))
         chromosome = pins.astype(np.uint8)
         args = (net.lap.symmetric_part, pins, coupling, gamma)
 
         def tested(gain, params):
             exact = check_gain(*args, gain, params)
             test = CertificateTest(net.lap.symmetric_part, coupling, gamma, gain, params)
-            xi = test.xi(pins)
-            ind = fitness(chromosome, sys, GaConfig(stability=params, fixed_gain=gain))
+            xi = test.xis(pins[np.newaxis])[0]
+            ind = score_row(chromosome, sys, GaConfig(stability=params, fixed_gain=gain))
             case = (i, g.shape[0], pins.tolist(), gain, params)
             assert (xi == 0.0) == ind.feasible == exact.feasible, case
             assert xi == ind.xi == exact.xi, case
@@ -315,7 +344,7 @@ def check_search_verdict_matches_solve(n_cases: int) -> None:
         def agree(params):
             solved = solve_min_gain(*args, params)
             at_c_max = tested(params.c_max, params)
-            ind = fitness(chromosome, sys, GaConfig(stability=params))
+            ind = score_row(chromosome, sys, GaConfig(stability=params))
             case = (i, g.shape[0], pins.tolist(), params)
             assert solved.feasible == at_c_max.feasible == ind.feasible, case
             assert ind.xi == at_c_max.xi, case
@@ -385,7 +414,7 @@ def check_generation_verdicts_match_check_gain(n_cases: int) -> None:
                 exact = check_gain(l_sym, row, coupling, gamma, gain, params)
                 case = (i, n, row.tolist(), gain, params)
                 assert (xi == 0.0) == exact.feasible, case
-                assert xi == exact.xi == single.xi(row), case
+                assert xi == exact.xi == single.xis(row[np.newaxis])[0], case
                 seen[exact.feasible] += 1
             assert batched.eigensolves == single.eigensolves, (i, n, gain, params)
     assert seen[True] > 0 and seen[False] > 0
@@ -465,7 +494,7 @@ def _certified_single_case(rng, n_lo=2, n_hi=5):
     """A network with pins and a solved gain whose certificate holds."""
     g = _random_graph(rng, n_lo, n_hi)
     n = g.shape[0]
-    net = make_network(g, float(rng.uniform(0.4, 1.5)), 1.0, float(rng.uniform(-5, 5)))
+    net = DirectedNetwork(g, float(rng.uniform(0.4, 1.5)), 1.0, float(rng.uniform(-5, 5)))
     pins = (rng.random(n) < 0.5).astype(float)
     params = StabilityParams(delta=float(rng.uniform(0.4, 1.5)), c_max=60.0)
     res = solve_min_gain(net.lap.symmetric_part, pins, net.coupling_strength, 1.0, params)
@@ -487,7 +516,7 @@ def check_lyapunov_descent_on_certified_runs(n_cases: int) -> None:
     for _ in range(n_cases):
         net, pins, res, _ = _certified_single_case(rng)
         x0 = net.target[0] + rng.uniform(-3.0, 3.0, size=net.n)
-        traj = simulate_single(net, pins, res.gain, x0, sim)
+        traj = simulate_multi(MultiNetworkSystem((net,)), [pins], [res.gain], x0, sim)
         assert np.all(np.diff(traj.lyapunov) <= 1e-9)
 
 
@@ -498,13 +527,13 @@ def check_error_trajectory_superposition(n_cases: int) -> None:
     for i in range(n_cases):
         g = _random_graph(rng, 2, 5)
         n = g.shape[0]
-        net = make_network(g, float(rng.uniform(0.4, 1.5)), 1.0, 4.0)
+        sys = MultiNetworkSystem((DirectedNetwork(g, float(rng.uniform(0.4, 1.5)), 1.0, 4.0),))
         pins = (rng.random(n) < 0.5).astype(float)
         gain = float(rng.uniform(0.0, 3.0))
         e0 = rng.uniform(-2.0, 2.0, size=n)
         alpha = alphas[i % len(alphas)]
-        base = simulate_single(net, pins, gain, 4.0 + e0, sim)
-        scaled = simulate_single(net, pins, gain, 4.0 + alpha * e0, sim)
+        base = simulate_multi(sys, [pins], [gain], 4.0 + e0, sim)
+        scaled = simulate_multi(sys, [pins], [gain], 4.0 + alpha * e0, sim)
         dev_base = base.states[:, :, 0] - 4.0
         dev_scaled = scaled.states[:, :, 0] - 4.0
         assert np.allclose(dev_scaled, alpha * dev_base, rtol=1e-9, atol=1e-12)
@@ -517,7 +546,7 @@ def check_rk4_step_halving_fourth_order(n_cases: int) -> None:
     for _ in range(n_cases):
         g = _random_graph(rng, 2, 4)
         n = g.shape[0]
-        net = make_network(g, float(rng.uniform(0.5, 1.5)), 1.0, 0.0)
+        sys = MultiNetworkSystem((DirectedNetwork(g, float(rng.uniform(0.5, 1.5)), 1.0, 0.0),))
         pins = np.zeros(n)
         pins[int(rng.integers(0, n))] = 1.0
         gain = float(rng.uniform(0.5, 3.0))
@@ -525,9 +554,7 @@ def check_rk4_step_halving_fourth_order(n_cases: int) -> None:
         finals = []
         for dt in (0.02, 0.01, 0.005):
             sim = SimulationConfig(dt=dt, horizon=0.5)
-            finals.append(
-                simulate_single(net, pins, gain, x0, sim).states[-1, :, 0]
-            )
+            finals.append(simulate_multi(sys, [pins], [gain], x0, sim).states[-1, :, 0])
         coarse = np.linalg.norm(finals[0] - finals[1])
         fine = np.linalg.norm(finals[1] - finals[2])
         assert fine > 1e-15, "step-halving differences fell below resolution"
@@ -551,7 +578,7 @@ def check_propagator_matches_stagewise(n_cases: int) -> None:
         m = 1 + i % 2
         coupling, gamma = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 1.5))
         # zero targets, so states are the error path itself with no rounding
-        net = make_network(g, coupling, gamma, np.zeros(m))
+        net = DirectedNetwork(g, coupling, gamma, np.zeros(m))
         pins = (rng.random(n) < 0.5).astype(float)
         gain = float(rng.uniform(0.0, 5.0))
         integrator = ("rk4", "euler")[(i // 2) % 2]
@@ -561,7 +588,7 @@ def check_propagator_matches_stagewise(n_cases: int) -> None:
             integrator=integrator,
         )
         e0 = rng.uniform(-3.0, 3.0, size=(n, m))
-        traj = simulate_single(net, pins, gain, e0, sim)
+        traj = simulate_multi(MultiNetworkSystem((net,)), [pins], [gain], e0, sim)
         a = -coupling * gamma * net.lap.laplacian - gain * gamma * np.diag(pins)
         oracle = stagewise_integrate(a, e0, sim.dt, sim.n_steps, integrator)
         gap = np.max(np.abs(traj.states - oracle))
@@ -572,8 +599,8 @@ def check_elitist_best_fitness_monotone(n_cases: int) -> None:
     rng = np.random.default_rng(1008)
     for i in range(n_cases):
         g = _random_graph(rng, 4, 6)
-        net = make_network(g, 0.8, 1.0, 1.0)
-        sys = single_network_system(net)
+        net = DirectedNetwork(g, 0.8, 1.0, 1.0)
+        sys = MultiNetworkSystem((net,))
         cfg = GaConfig(
             population_size=8,
             generations=5,
@@ -602,16 +629,8 @@ def _random_overlap_system(rng):
     for k in range(k_total):
         ids = np.array(sorted(i for i in range(n_total) if k in memberships[i]))
         g = generate_adjacency(len(ids), 0.5, int(rng.integers(0, 2**31)))
-        nets.append(
-            DirectedNetwork(
-                adjacency=g,
-                coupling_strength=0.8,
-                gamma=1.0,
-                target=np.array([float(k)]),
-                node_ids=ids,
-            )
-        )
-    return MultiNetworkSystem(networks=nets, memberships=memberships)
+        nets.append(DirectedNetwork(g, 0.8, 1.0, float(k), ids))
+    return MultiNetworkSystem(tuple(nets))
 
 
 def check_overlap_nodes_counted_once(n_cases: int) -> None:
@@ -631,7 +650,7 @@ def check_overlap_nodes_counted_once(n_cases: int) -> None:
         params = StabilityParams(delta=float(rng.uniform(0.1, 3.0)))
         cfg = GaConfig(stability=params)
         row = (rng.random(sys.total_nodes) < 0.5).astype(np.uint8)
-        ind = fitness(row, sys, cfg)
+        ind = score_row(row, sys, cfg)
         assert ind.pinned_count == row.sum(), i
         for net, g in zip(sys.networks, ind.genes):
             assert np.array_equal(g, row[net.node_ids]), i
@@ -644,13 +663,13 @@ def check_overlap_nodes_counted_once(n_cases: int) -> None:
             pinned_anywhere.update(net.node_ids[g].tolist())
         closure = np.zeros(sys.total_nodes, dtype=np.uint8)
         closure[sorted(pinned_anywhere)] = 1
-        assert fitness(closure, sys, cfg).pinned_count == len(pinned_anywhere), i
+        assert score_row(closure, sys, cfg).pinned_count == len(pinned_anywhere), i
         for net, g in zip(sys.networks, pairs):
             test = CertificateTest(
                 net.lap.symmetric_part, net.coupling_strength, net.gamma, params.c_max, params
             )
-            pair_xi = test.xi(g.astype(np.float64))
-            closed_xi = test.xi(closure[net.node_ids].astype(np.float64))
+            pair_xi = test.xis(g[np.newaxis])[0]
+            closed_xi = test.xis(closure[np.newaxis, net.node_ids])[0]
             assert closed_xi <= pair_xi, (i, pair_xi, closed_xi)
 
 
@@ -658,8 +677,8 @@ def check_seeded_runs_identical(n_cases: int) -> None:
     rng = np.random.default_rng(1010)
     for _ in range(n_cases):
         g = _random_graph(rng, 3, 5)
-        net = make_network(g, 0.8, 1.0, 2.0)
-        sys = single_network_system(net)
+        net = DirectedNetwork(g, 0.8, 1.0, 2.0)
+        sys = MultiNetworkSystem((net,))
         cfg = GaConfig(
             population_size=4,
             generations=2,
@@ -686,7 +705,7 @@ def check_pruned_search_matches_full_search(n_cases: int) -> None:
     pruned_cases = 0
     for i in range(n_cases):
         if rng.random() < 0.5:
-            sys = single_network_system(make_network(_random_graph(rng, 3, 8), 0.8, 1.0, 1.0))
+            sys = MultiNetworkSystem((DirectedNetwork(_random_graph(rng, 3, 8), 0.8, 1.0, 1.0),))
         else:
             sys = _random_overlap_system(rng)
         c_max = float(rng.uniform(2.0, 20.0))
@@ -719,6 +738,45 @@ def check_pruned_search_matches_full_search(n_cases: int) -> None:
         }, case
         assert pruned.eigensolves <= full.eigensolves, case
     assert pruned_cases >= n_cases // 4, pruned_cases
+
+
+def check_stacked_oracle_matches_subset_loop(n_cases: int) -> None:
+    """The oracle's one call per subset size finds the subset-at-a-time walk's answer.
+
+    Networks of n = 1..10 nodes with random coupling, gamma and delta.  A
+    quarter of the cases have n = 1; a quarter have n <= 7 and a c_max below
+    delta / (2*gamma), where not even pinning every node certifies; and a
+    quarter have n <= 7 and a delta at lambda_min with every node pinned,
+    where only that set certifies.  These two walk all 2^n subsets.  Both
+    oracles must return the same size and pin vector, or both None.
+    """
+    rng = np.random.default_rng(1017)
+    seen = {"none": 0, "all": 0, "some": 0}
+    for i in range(n_cases):
+        kind = i % 4
+        n = 1 if kind == 0 else int(rng.integers(2, 11 if kind == 2 else 8))
+        g = generate_adjacency(n, float(rng.uniform(0.1, 0.8)), int(rng.integers(0, 2**31)))
+        coupling, gamma = float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.5, 1.5))
+        net = DirectedNetwork(g, coupling, gamma)
+        delta = float(rng.uniform(0.2, 3.0))
+        c_max = float(rng.uniform(1.0, 20.0))
+        if kind == 1:
+            c_max = delta / (2.0 * gamma) * float(rng.uniform(0.1, 0.99))
+        elif kind == 3:
+            full = stability_matrix(net.lap.symmetric_part, np.ones(n), coupling, c_max, gamma)
+            delta = float(np.linalg.eigvalsh(full)[0])
+        params = StabilityParams(delta=delta, c_max=c_max)
+        want = subset_loop_min_pinning(net, params)
+        got = brute_force_min_pinning(net, params)
+        case = (i, n, coupling, gamma, params)
+        if want is None:
+            assert got is None, case
+            seen["none"] += 1
+        else:
+            assert got is not None and got[0] == want[0], (case, got, want)
+            assert got[1].tobytes() == want[1].tobytes(), (case, got, want)
+            seen["all" if want[0] == n else "some"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def percent_csv(times: np.ndarray, table: np.ndarray, labels: list[str]) -> bytes:
@@ -768,7 +826,7 @@ def check_csv_kernel_matches_percent(n_cases: int) -> None:
             else:
                 v = rng.choice(adversarial, size=shape) * rng.choice([-1.0, 1.0], size=shape)
             labels = [f"c{j}" for j in range(shape[1] - 1)]
-            _write_series_csv(path, v[:, 0], v[:, 1:], labels, 1)
+            _write_series_csv(path, v[:, 0], v[:, 1:], labels)
             assert path.read_bytes() == percent_csv(v[:, 0], v[:, 1:], labels), (i, v.tolist())
 
 
@@ -789,5 +847,6 @@ ALL_CHECKS = (
     ("overlap nodes counted once", check_overlap_nodes_counted_once),
     ("seeded reruns identical", check_seeded_runs_identical),
     ("pruned search matches the full search", check_pruned_search_matches_full_search),
+    ("stacked oracle matches the subset walk", check_stacked_oracle_matches_subset_loop),
     ("csv kernel matches %", check_csv_kernel_matches_percent),
 )

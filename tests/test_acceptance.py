@@ -11,7 +11,7 @@ import numpy as np
 
 from pinnet.ga import GaConfig, evolve
 from pinnet.harness import brute_force_min_pinning, builtin_scenario, fixed_gain_study
-from pinnet.network import generate_adjacency, make_network, single_network_system
+from pinnet.network import DirectedNetwork, MultiNetworkSystem, generate_adjacency
 from pinnet.stability import StabilityParams, stability_matrix
 
 from property_checks import ALL_CHECKS
@@ -77,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
     matches = 0
     failures = []
     for seed in range(20):
-        net = make_network(generate_adjacency(5, 0.5, seed), 0.8, 1.0, 0.0)
+        net = DirectedNetwork(generate_adjacency(5, 0.5, seed), 0.8, 1.0, 0.0)
         oracle = brute_force_min_pinning(net, params)
         if oracle is None:
             failures.append(f"seed {seed}: enumeration found nothing certifiable")
@@ -88,7 +88,7 @@ def test_criterion_3_oracle_equivalence():
             rng_seed=seed,
             stability=params,
         )
-        report = evolve(cfg, single_network_system(net))
+        report = evolve(cfg, MultiNetworkSystem((net,)))
         if report.best_feasible is None:
             failures.append(f"seed {seed}: search found no certifiable set")
             continue
@@ -153,9 +153,7 @@ def test_criterion_6_kronecker_reduction_equivalence():
     failures = []
     rng = np.random.default_rng(6)
     for trial in range(5):
-        l_sym = make_network(
-            generate_adjacency(3, 0.3, trial), 1.0
-        ).lap.symmetric_part
+        l_sym = DirectedNetwork(generate_adjacency(3, 0.3, trial), 1.0).lap.symmetric_part
         pins = np.array([1.0, 0.0, 1.0]) if trial % 2 == 0 else np.array([0.0, 1.0, 0.0])
         coupling = float(rng.uniform(0.5, 2.0))
         gain = float(rng.uniform(0.5, 5.0))

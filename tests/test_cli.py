@@ -234,3 +234,28 @@ def test_malformed_scenario_is_error(tmp_path, capsys, edit, named):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (
+            lambda d: d["networks"][1].update(init_std=NAN),
+            "error: scenario key networks[1]: init_std must be finite, got nan\n",
+        ),
+        (
+            lambda d: d["ga"]["stability"].update(q=-1.0),
+            "error: scenario key ga.stability: q must be finite and > 0, got -1.0\n",
+        ),
+    ],
+    ids=["nan-init-std-of-network-1", "negative-q"],
+)
+def test_value_error_names_its_json_path(tmp_path, capsys, edit, line):
+    file = tmp_path / "multi-50.json"
+    assert main(["gen-scenario", "--profile", "multi-50", "--out", str(file)]) == 0
+    d = json.loads(file.read_text())
+    edit(d)
+    file.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(file)]) == 1
+    assert capsys.readouterr().err == line

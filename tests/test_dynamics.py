@@ -15,46 +15,44 @@ from pinnet.dynamics import (
     export_errors_csv,
     export_trajectory_csv,
     simulate_multi,
-    simulate_single,
 )
-from pinnet.network import (
-    DirectedNetwork,
-    MultiNetworkSystem,
-    generate_adjacency,
-    make_network,
-    single_network_system,
-)
+from pinnet.network import DirectedNetwork, MultiNetworkSystem, generate_adjacency
 from pinnet.stability import StabilityParams, solve_min_gain
 
 from property_checks import stagewise_integrate
 
 
-def scalar_net(target: float = 5.0) -> DirectedNetwork:
-    return make_network(np.zeros((1, 1)), 0.8, 1.0, target)
+def one_network(adjacency: np.ndarray, target: float) -> MultiNetworkSystem:
+    """A K = 1 system: one network on nodes 0..n-1 with coupling 0.8."""
+    return MultiNetworkSystem((DirectedNetwork(adjacency, 0.8, 1.0, target),))
+
+
+def scalar_system(target: float = 5.0) -> MultiNetworkSystem:
+    return one_network(np.zeros((1, 1)), target)
 
 
 class TestSimulateSingle:
     def test_equilibrium_is_invariant(self):
-        net = make_network(generate_adjacency(6, 0.4, 0), 0.8, 1.0, 90.0)
+        sys = one_network(generate_adjacency(6, 0.4, 0), 90.0)
         x0 = np.full(6, 90.0)
-        traj = simulate_single(net, np.ones(6), 2.0, x0, SimulationConfig(horizon=0.5))
+        traj = simulate_multi(sys, [np.ones(6)], [2.0], x0, SimulationConfig(horizon=0.5))
         assert np.all(traj.errors == 0.0)
         assert np.all(traj.states == 90.0)
         assert np.all(traj.lyapunov == 0.0)
 
     def test_scalar_closed_form_decay(self):
         # single pinned node, no neighbors, unit gain: error is exp(-t)
-        net = scalar_net()
+        sys = scalar_system()
         sim = SimulationConfig(dt=1e-3, horizon=2.0)
-        traj = simulate_single(net, np.ones(1), 1.0, np.array([6.0]), sim)
+        traj = simulate_multi(sys, [np.ones(1)], [1.0], np.array([6.0]), sim)
         for t in (0.5, 1.0, 2.0):
             idx = int(round(t / sim.dt))
             assert abs(traj.errors[idx, 0] - np.exp(-t)) <= 1e-6
 
     def test_times_strictly_increasing_and_sampled_every_step(self):
-        net = scalar_net()
+        sys = scalar_system()
         sim = SimulationConfig(dt=0.01, horizon=0.25)
-        traj = simulate_single(net, np.ones(1), 1.0, np.array([6.0]), sim)
+        traj = simulate_multi(sys, [np.ones(1)], [1.0], np.array([6.0]), sim)
         assert len(traj.times) == 26
         assert np.all(np.diff(traj.times) > 0)
 
@@ -65,7 +63,8 @@ class TestSimulateSingle:
         The reported step and time must equal those of the stagewise integrator,
         and no numpy warning may escape.
         """
-        net = scalar_net()
+        sys = scalar_system()
+        net = sys.networks[0]
         sim = SimulationConfig(dt=1e-3, horizon=1.0, integrator=integrator)
         a = -net.coupling_strength * net.lap.laplacian - gain * np.eye(1)
         e0 = np.array([[15.0 - 5.0]])  # x0 = 15 against the target 5
@@ -74,7 +73,7 @@ class TestSimulateSingle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
-                simulate_single(net, np.ones(1), gain, np.array([15.0]), sim)
+                simulate_multi(sys, [np.ones(1)], [gain], np.array([15.0]), sim)
         assert err.value.step == expected.value.step
         assert err.value.time == expected.value.time
         return err.value
@@ -97,32 +96,35 @@ class TestSimulateSingle:
         self.divergence_matching_oracle("rk4", 5e6)
 
     def test_euler_integrator(self):
-        net = scalar_net()
+        sys = scalar_system()
         sim = SimulationConfig(dt=1e-4, horizon=1.0, integrator="euler")
-        traj = simulate_single(net, np.ones(1), 1.0, np.array([6.0]), sim)
+        traj = simulate_multi(sys, [np.ones(1)], [1.0], np.array([6.0]), sim)
         assert abs(traj.errors[-1, 0] - np.exp(-1.0)) <= 1e-3
 
 
 class TestSimulateMulti:
     def test_k1_system_matches_single_bitwise(self):
-        net = make_network(generate_adjacency(6, 0.5, 1), 0.8, 1.0, 42.0)
+        # embedding one network on nodes 0..n-1 leaves its closed-loop drift as it is
+        sys = one_network(generate_adjacency(6, 0.5, 1), 42.0)
+        net = sys.networks[0]
         pins = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
         res = solve_min_gain(net.lap.symmetric_part, pins, 0.8, 1.0, StabilityParams())
         rng = np.random.default_rng(3)
         x0 = rng.normal(45.0, 5.0, 6)
         sim = SimulationConfig(dt=1e-3, horizon=0.8)
-        traj_a = simulate_single(net, pins, res.gain, x0, sim)
-        traj_b = simulate_multi(single_network_system(net), [pins], [res.gain], x0, sim)
+        a = -0.8 * net.lap.laplacian - res.gain * np.diag(pins)
+        traj_a = dynamics._integrate(a, x0[:, None] - 42.0, sys.composite_targets, sim)
+        traj_b = simulate_multi(sys, [pins], [res.gain], x0, sim)
         assert np.array_equal(traj_a.states, traj_b.states)
         assert np.array_equal(traj_a.errors, traj_b.errors)
 
     def test_shared_node_gains_add(self):
         # one node pinned in two networks with equal targets: rates stack
         nets = [
-            make_network(np.zeros((1, 1)), 1.0, 1.0, 60.0, node_ids=[0]),
-            make_network(np.zeros((1, 1)), 1.0, 1.0, 60.0, node_ids=[0]),
+            DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, 60.0, [0]),
+            DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, 60.0, [0]),
         ]
-        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1})])
+        sys = MultiNetworkSystem(tuple(nets))
         sim = SimulationConfig(dt=1e-3, horizon=1.5)
         traj = simulate_multi(sys, [np.ones(1), np.ones(1)], [1.0, 1.0], np.array([65.0]), sim)
         for t in (0.5, 1.0, 1.5):
@@ -131,10 +133,10 @@ class TestSimulateMulti:
 
     def test_errors_measured_against_composite_targets(self):
         nets = [
-            make_network(np.zeros((1, 1)), 1.0, 1.0, 50.0, node_ids=[0]),
-            make_network(np.zeros((1, 1)), 1.0, 1.0, 70.0, node_ids=[0]),
+            DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, 50.0, [0]),
+            DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, 70.0, [0]),
         ]
-        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1})])
+        sys = MultiNetworkSystem(tuple(nets))
         sim = SimulationConfig(horizon=0.1)
         traj = simulate_multi(sys, [np.ones(1), np.ones(1)], [1.0, 1.0], np.array([60.0]), sim)
         # starting on the composite target keeps the error identically zero
@@ -155,8 +157,8 @@ class TestSimulateMulti:
              "inf-gain", "unsolved-gain"],
     )
     def test_rejects_a_malformed_plan(self, pins, gains, message):
-        nets = [make_network(np.zeros((1, 1)), 1.0, 1.0, 60.0, node_ids=[0]) for _ in range(2)]
-        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1})])
+        nets = [DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, 60.0, [0]) for _ in range(2)]
+        sys = MultiNetworkSystem(tuple(nets))
         with pytest.raises(ValueError, match=message):
             simulate_multi(sys, pins, gains, np.array([65.0]), SimulationConfig(horizon=0.1))
 
@@ -207,16 +209,16 @@ class TestConvergenceTime:
 
 class TestLyapunovSeries:
     def test_zero_error(self):
-        net = scalar_net()
-        traj = simulate_single(
-            net, np.ones(1), 1.0, np.array([5.0]), SimulationConfig(horizon=0.2)
+        sys = scalar_system()
+        traj = simulate_multi(
+            sys, [np.ones(1)], [1.0], np.array([5.0]), SimulationConfig(horizon=0.2)
         )
         assert np.all(traj.lyapunov == 0.0) and np.all(np.diff(traj.lyapunov) == 0.0)
 
     def test_exponential_error_closed_form(self):
-        net = scalar_net()
+        sys = scalar_system()
         sim = SimulationConfig(dt=1e-3, horizon=1.0)
-        traj = simulate_single(net, np.ones(1), 1.0, np.array([6.0]), sim)
+        traj = simulate_multi(sys, [np.ones(1)], [1.0], np.array([6.0]), sim)
         values = traj.lyapunov
         derivative = np.diff(values) / np.diff(traj.times)
         expected = np.exp(-2.0 * traj.times)
@@ -230,16 +232,16 @@ class TestLyapunovSeries:
         # derivative satisfies Vdot <= -(delta - eps) * ||e||^2 with 5% slack
         # at every sample after the first
         delta = 7.5
-        net = make_network(generate_adjacency(40, 0.5, 7), 0.8, 1.0, 90.0)
+        sys = one_network(generate_adjacency(40, 0.5, 7), 90.0)
         rng = np.random.default_rng(11)
         pins = np.zeros(40)
         pins[rng.choice(40, 16, replace=False)] = 1.0
         res = solve_min_gain(
-            net.lap.symmetric_part, pins, 0.8, 1.0, StabilityParams(delta=delta)
+            sys.networks[0].lap.symmetric_part, pins, 0.8, 1.0, StabilityParams(delta=delta)
         )
         assert res.feasible
         x0 = rng.normal(100.0, 15.0, 40)
-        traj = simulate_single(net, pins, res.gain, x0, SimulationConfig(horizon=5.0))
+        traj = simulate_multi(sys, [pins], [res.gain], x0, SimulationConfig(horizon=5.0))
         derivative = np.diff(traj.lyapunov) / np.diff(traj.times)
         err_sq = traj.lyapunov[:-1]  # sum of squared node errors
         bound = -(delta - 0.05 * delta) * err_sq
@@ -250,15 +252,15 @@ class TestPinnedNodesConvergeFaster:
     def test_median_pinned_settle_time_below_unpinned(self):
         # solved-gain plan on a mid-size network: directly driven nodes settle
         # before the nodes that only feel them through coupling
-        net = make_network(generate_adjacency(40, 0.5, 7), 0.8, 1.0, 90.0)
+        sys = one_network(generate_adjacency(40, 0.5, 7), 90.0)
         rng = np.random.default_rng(11)
         pins = np.zeros(40)
         pins[rng.choice(40, 16, replace=False)] = 1.0
         params = StabilityParams(delta=7.5)
-        res = solve_min_gain(net.lap.symmetric_part, pins, 0.8, 1.0, params)
+        res = solve_min_gain(sys.networks[0].lap.symmetric_part, pins, 0.8, 1.0, params)
         assert res.feasible
         x0 = rng.normal(100.0, 15.0, 40)
-        traj = simulate_single(net, pins, res.gain, x0, SimulationConfig(horizon=5.0))
+        traj = simulate_multi(sys, [pins], [res.gain], x0, SimulationConfig(horizon=5.0))
         settle = np.empty(40)
         for i in range(40):
             above = np.nonzero(traj.errors[:, i] > 1e-3)[0]
@@ -268,9 +270,9 @@ class TestPinnedNodesConvergeFaster:
 
 class TestCsvExport:
     def test_trajectory_and_errors_roundtrip(self, tmp_path):
-        net = make_network(generate_adjacency(3, 0.4, 2), 0.8, 1.0, 10.0)
-        traj = simulate_single(
-            net, np.ones(3), 1.0, np.array([11.0, 9.0, 10.5]), SimulationConfig(horizon=0.05)
+        sys = one_network(generate_adjacency(3, 0.4, 2), 10.0)
+        traj = simulate_multi(
+            sys, [np.ones(3)], [1.0], np.array([11.0, 9.0, 10.5]), SimulationConfig(horizon=0.05)
         )
         tpath = tmp_path / "trajectory.csv"
         epath = tmp_path / "errors.csv"
@@ -298,6 +300,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
     def test_block_writer_matches_fstring_writer(self, tmp_path, monkeypatch, m, stride, rows):
+        # stride 3 writes a trajectory thinned by slicing, so every array is a strided view
         n = 3
         # trajectory.csv is written _BLOCK rows a call, so the row counts straddle a call
         monkeypatch.setattr(dynamics, "_CSV_VALUES", _BLOCK * (1 + n * m))
@@ -315,25 +318,24 @@ class TestCsvExport:
         errors.reshape(-1)[-len(special) :] = np.abs(special[: errors.size])
         errors[0, 0] = -0.0
         traj = Trajectory(
-            times=np.arange(samples) * 1e-3,
-            states=states,
-            errors=errors,
-            lyapunov=np.zeros(samples),  # in neither CSV
+            times=(np.arange(samples) * 1e-3)[::stride],
+            states=states[::stride],
+            errors=errors[::stride],
+            lyapunov=np.zeros(samples)[::stride],  # in neither CSV
         )
         if m == 1:
             labels = [f"node_{i}" for i in range(n)]
         else:
             labels = [f"node_{i}_{j}" for i in range(n) for j in range(m)]
-        export_trajectory_csv(traj, tmp_path / "trajectory.csv", stride=stride)
-        export_errors_csv(traj, tmp_path / "errors.csv", stride=stride)
-        times = traj.times[::stride]
-        assert len(times) == rows
-        table = states[::stride].reshape(rows, n * m)
+        export_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        export_errors_csv(traj, tmp_path / "errors.csv")
+        assert len(traj.times) == rows
+        table = traj.states.reshape(rows, n * m)
         assert (tmp_path / "trajectory.csv").read_bytes() == self.fstring_csv(
-            times, table, labels
+            traj.times, table, labels
         )
         assert (tmp_path / "errors.csv").read_bytes() == self.fstring_csv(
-            times, errors[::stride], [f"node_{i}" for i in range(n)]
+            traj.times, traj.errors, [f"node_{i}" for i in range(n)]
         )
 
     def test_log10_one_under_at_powers_of_ten_goes_to_percent(self, monkeypatch):
@@ -354,14 +356,6 @@ class TestCsvExport:
         keep = np.empty((values.size, dynamics._W), dtype=bool)
         text = dynamics._format_rows(values, words, keep).tobytes()
         assert text == (",".join("%.17g" % v for v in values[0]) + "\n").encode()
-
-    def test_stride_validation(self, tmp_path):
-        traj = simulate_single(
-            scalar_net(), np.ones(1), 1.0, np.array([6.0]), SimulationConfig(horizon=0.01)
-        )
-        for export in (export_trajectory_csv, export_errors_csv):
-            with pytest.raises(ValueError, match="stride"):
-                export(traj, tmp_path / "out.csv", stride=0)
 
     def test_validation_of_config(self):
         with pytest.raises(ValueError):

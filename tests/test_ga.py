@@ -11,43 +11,29 @@ from pinnet.ga import (
     GaConfig,
     crossover,
     evolve,
-    fitness,
     init_population,
     mutate,
     tournament_select,
 )
 from pinnet.harness import build_system, builtin_scenario
-from pinnet.network import (
-    MultiNetworkSystem,
-    generate_adjacency,
-    make_network,
-    single_network_system,
-)
+from pinnet.network import DirectedNetwork, MultiNetworkSystem, generate_adjacency
 from pinnet.stability import CertificateTest, StabilityParams
+
+from property_checks import score_row
 
 
 def small_system(n=6, seed=0, threshold=0.4):
-    net = make_network(generate_adjacency(n, threshold, seed), 0.8, 1.0, 10.0)
-    return single_network_system(net)
+    net = DirectedNetwork(generate_adjacency(n, threshold, seed), 0.8, 1.0, 10.0)
+    return MultiNetworkSystem((net,))
 
 
 def overlap_system(seed=0):
     """Two 3-node networks sharing node 2 (5 global nodes)."""
-    rng_ids = [np.array([0, 1, 2]), np.array([2, 3, 4])]
-    nets = []
-    for k, ids in enumerate(rng_ids):
-        g = generate_adjacency(3, 0.3, seed * 10 + k)
-        nets.append(
-            make_network(g, 0.8, 1.0, float(10 * (k + 1)), node_ids=ids)
-        )
-    memberships = [
-        frozenset({0}),
-        frozenset({0}),
-        frozenset({0, 1}),
-        frozenset({1}),
-        frozenset({1}),
+    nets = [
+        DirectedNetwork(generate_adjacency(3, 0.3, seed * 10 + k), 0.8, 1.0, 10.0 * (k + 1), ids)
+        for k, ids in enumerate(([0, 1, 2], [2, 3, 4]))
     ]
-    return MultiNetworkSystem(networks=nets, memberships=memberships)
+    return MultiNetworkSystem(tuple(nets))
 
 
 def genes(*bits):
@@ -75,16 +61,15 @@ class TestInitPopulation:
 class TestFitness:
     def test_all_pinned_fit_equals_node_count(self):
         sys = small_system()
-        ind = fitness(np.ones(6, dtype=np.uint8), sys, GaConfig())
+        ind = score_row(np.ones(6, dtype=np.uint8), sys, GaConfig())
         assert ind.feasible and ind.xi == 0.0
         assert ind.fitness == 6.0 == float(ind.pinned_count)
 
     def test_all_zero_pays_pure_penalty(self):
         # empty 4-node graph: no coupling, no pins, violation delta*sqrt(n)
-        net = make_network(np.zeros((4, 4)), 1.0, 1.0, 0.0)
-        sys = single_network_system(net)
+        sys = MultiNetworkSystem((DirectedNetwork(np.zeros((4, 4)), 1.0, 1.0, 0.0),))
         cfg = GaConfig(penalty_coeff=10.0, stability=StabilityParams(delta=1.0))
-        ind = fitness(np.zeros(4, dtype=np.uint8), sys, cfg)
+        ind = score_row(np.zeros(4, dtype=np.uint8), sys, cfg)
         assert not ind.feasible
         assert ind.pinned_count == 0
         assert ind.fitness == 10.0 * 2.0  # lambda * delta * sqrt(4)
@@ -107,7 +92,7 @@ class TestFitness:
 
         module_fits, oracle_fits = [], []
         for bits in itertools.product((0, 1), repeat=5):
-            module_fits.append(fitness(genes(*bits), sys, cfg).fitness)
+            module_fits.append(score_row(genes(*bits), sys, cfg).fitness)
             oracle_fits.append(recompute(bits))
         assert np.allclose(module_fits, oracle_fits, rtol=1e-10, atol=1e-10)
         assert np.array_equal(np.argsort(module_fits), np.argsort(oracle_fits))
@@ -115,7 +100,7 @@ class TestFitness:
     def test_overlap_node_counted_once(self):
         sys = overlap_system()
         # node 2 is the last node of network 0 and the first of network 1
-        ind = fitness(genes(0, 0, 1, 0, 0), sys, GaConfig())
+        ind = score_row(genes(0, 0, 1, 0, 0), sys, GaConfig())
         assert ind.pinned_count == 1
         assert [g.tolist() for g in ind.genes] == [[0, 0, 1], [1, 0, 0]]
 
@@ -133,26 +118,26 @@ class TestFitness:
                 m_top = 2.0 * 0.8 * net.lap.symmetric_part + 2.0 * c_max * np.diag(pins)
                 short = np.maximum(0.0, delta - np.linalg.eigvalsh(m_top))
                 expected += float(np.sqrt((short**2).sum()))
-            assert abs(fitness(row, sys, cfg).xi - expected) <= 1e-12
+            assert abs(score_row(row, sys, cfg).xi - expected) <= 1e-12
             seen[expected == 0.0] += 1
         assert seen[True] > 0 and seen[False] > 0  # both branches are exercised
 
     def test_shape_mismatch_rejected(self):
         sys = small_system()
         with pytest.raises(ValueError):
-            fitness(np.ones(4, dtype=np.uint8), sys, GaConfig())
+            score_row(np.ones(4, dtype=np.uint8), sys, GaConfig())
 
     def test_gene_arrays_must_match_the_networks(self):
         sys = build_system(builtin_scenario("multi-50"))
         cfg = GaConfig()
         total = sys.total_nodes  # 50 genes for networks of 35, 25 and 25 nodes
         whole = np.ones(total, dtype=np.uint8)
-        assert fitness(whole, sys, cfg).pinned_count == total
+        assert score_row(whole, sys, cfg).pinned_count == total
         for size in (35, 85, total + 35, total - 1):
             with pytest.raises(ValueError, match="one gene per node"):
-                fitness(np.ones(size, dtype=np.uint8), sys, cfg)
+                score_row(np.ones(size, dtype=np.uint8), sys, cfg)
         with pytest.raises(ValueError):
-            fitness(np.ones((1, total), dtype=np.uint8), sys, cfg)
+            score_row(np.ones((1, total), dtype=np.uint8), sys, cfg)
 
     def test_no_chromosomes_score_without_a_certificate_call(self, monkeypatch):
         sys = overlap_system(seed=1)
@@ -166,7 +151,7 @@ class TestFitness:
         row = np.ones(6, dtype=np.uint8)
         row[3] = 2  # all other genes pinned, so the set would certify
         with pytest.raises(ValueError, match="0 or 1"):
-            fitness(row, sys, GaConfig())
+            score_row(row, sys, GaConfig())
 
 
 class TestTournament:
@@ -337,7 +322,7 @@ class TestEvolve:
         report = evolve(cfg, sys)
         assert len(report.best_fitness) == 1
         pop = init_population(cfg, sys, np.random.default_rng(cfg.rng_seed))
-        fits = [fitness(row, sys, cfg).fitness for row in pop]
+        fits = [score_row(row, sys, cfg).fitness for row in pop]
         assert report.best.fitness == min(fits)
 
     def test_matches_exhaustive_minimum_on_small_instances(self):
@@ -347,7 +332,7 @@ class TestEvolve:
             sys = small_system(n=5, seed=seed, threshold=0.5)
             best_count = None
             for bits in itertools.product((0, 1), repeat=5):
-                ind = fitness(genes(*bits), sys, GaConfig(stability=params))
+                ind = score_row(genes(*bits), sys, GaConfig(stability=params))
                 if ind.feasible:
                     c = ind.pinned_count
                     best_count = c if best_count is None else min(best_count, c)
@@ -429,14 +414,14 @@ class TestEvolve:
         for gen, (genes, fit, counts) in enumerate(parents):
             lam = cfg.penalty_coeff * (1.0 + gen / cfg.generations)
             for row, f, c in zip(genes, fit.tolist(), counts.tolist()):
-                ind = fitness(row, sys, cfg, penalty_coeff=lam)
+                ind = score_row(row, sys, cfg, penalty_coeff=lam)
                 assert f == ind.fitness
                 assert c == ind.pinned_count
                 penalized += not ind.feasible
         assert penalized > 0
         best = report.best
         lam = 2.0 * cfg.penalty_coeff
-        final = fitness(np.concatenate(best.genes), sys, cfg, penalty_coeff=lam)
+        final = score_row(np.concatenate(best.genes), sys, cfg, penalty_coeff=lam)
         assert best.fitness == final.fitness == best.pinned_count + lam * best.xi
         assert report.best_fitness[-1] == report.best.fitness
 

@@ -12,9 +12,7 @@ from pinnet.network import (
     generate_membership,
     laplacian,
     load_adjacency,
-    make_network,
     save_adjacency,
-    single_network_system,
 )
 
 
@@ -118,9 +116,9 @@ class TestDirectedNetwork:
     def test_constructor_validates(self):
         g = generate_adjacency(4, 0.5, 0)
         with pytest.raises(ValueError):
-            make_network(g, coupling_strength=0.0)
+            DirectedNetwork(g, coupling_strength=0.0)
         with pytest.raises(ValueError):
-            make_network(g, coupling_strength=1.0, gamma=-1.0)
+            DirectedNetwork(g, coupling_strength=1.0, gamma=-1.0)
         with pytest.raises(ValueError):
             DirectedNetwork(
                 adjacency=g,
@@ -129,77 +127,85 @@ class TestDirectedNetwork:
                 target=np.array([1.0]),
                 node_ids=np.array([0, 1, 2]),  # wrong length
             )
+        with pytest.raises(ValueError, match="unique"):
+            DirectedNetwork(g, 1.0, node_ids=[0, 1, 1, 2])
+        with pytest.raises(ValueError, match=">= 0"):
+            DirectedNetwork(g, 1.0, node_ids=[-1, 0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "coupling,gamma",
+        [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf), (np.nan, np.inf)],
+    )
+    def test_non_finite_constants_rejected(self, coupling, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            DirectedNetwork(np.zeros((2, 2)), coupling, gamma)
+
+    def test_defaults(self):
+        net = DirectedNetwork(generate_adjacency(4, 0.5, 1), 0.8)
+        assert net.gamma == 1.0
+        assert net.target.tolist() == [0.0]
+        assert net.node_ids.tolist() == [0, 1, 2, 3] and net.node_ids.dtype == np.int64
 
     def test_arrays_are_immutable(self):
-        net = make_network(generate_adjacency(4, 0.5, 1), 0.8)
+        net = DirectedNetwork(generate_adjacency(4, 0.5, 1), 0.8)
         with pytest.raises(ValueError):
             net.adjacency[0, 1] = 5.0
 
 
 class TestMultiNetwork:
     def _two_nets(self, targets=(50.0, 70.0)):
-        g = np.zeros((2, 2))
-        net0 = make_network(g, 1.0, 1.0, targets[0], node_ids=[0, 1])
-        net1 = DirectedNetwork(
-            adjacency=np.zeros((1, 1)),
-            coupling_strength=1.0,
-            gamma=1.0,
-            target=np.array([targets[1]]),
-            node_ids=np.array([1]),
-        )
-        memberships = [frozenset({0}), frozenset({0, 1})]
-        return MultiNetworkSystem(networks=[net0, net1], memberships=memberships)
+        net0 = DirectedNetwork(np.zeros((2, 2)), 1.0, 1.0, targets[0], [0, 1])
+        net1 = DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, targets[1], [1])
+        return MultiNetworkSystem((net0, net1))
 
     def test_composite_is_mean_of_two(self):
         sys = self._two_nets((50.0, 70.0))
         assert sys.composite_targets[1, 0] == 60.0
         assert sys.composite_targets[0, 0] == 50.0
-        assert sys.overlap_set == frozenset({1})
+        assert sys.memberships == (frozenset({0}), frozenset({0, 1}))
+        assert sys.total_nodes == 2
 
     def test_composite_is_mean_of_three(self):
-        nets = []
-        for k, t in enumerate((50.0, 70.0, 120.0)):
-            nets.append(
-                DirectedNetwork(
-                    adjacency=np.zeros((1, 1)),
-                    coupling_strength=1.0,
-                    gamma=1.0,
-                    target=np.array([t]),
-                    node_ids=np.array([0]),
-                )
-            )
-        sys = MultiNetworkSystem(networks=nets, memberships=[frozenset({0, 1, 2})])
+        nets = [DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, t, [0]) for t in (50.0, 70.0, 120.0)]
+        sys = MultiNetworkSystem(tuple(nets))
         assert sys.composite_targets[0, 0] == 80.0
+        assert sys.memberships == (frozenset({0, 1, 2}),)
 
     def test_equal_targets_compose_to_same(self):
         sys = self._two_nets((60.0, 60.0))
         assert sys.composite_targets[1, 0] == 60.0
 
     def test_orphan_node_rejected(self):
-        net = make_network(np.zeros((1, 1)), 1.0, 1.0, 5.0, node_ids=[0])
-        with pytest.raises(ValueError, match="orphan"):
-            MultiNetworkSystem(networks=[net], memberships=[frozenset({0}), frozenset()])
-
-    def test_inconsistent_span_rejected(self):
-        # network claims nodes {0, 1} but memberships put node 2 in it too
-        net = make_network(np.zeros((2, 2)), 1.0, 1.0, 5.0, node_ids=[0, 1])
-        with pytest.raises(ValueError, match="inconsistent"):
-            MultiNetworkSystem(
-                networks=[net], memberships=[frozenset({0}), frozenset({0}), frozenset({0})]
-            )
-
-    def test_unknown_network_index_rejected(self):
-        net = make_network(np.zeros((1, 1)), 1.0, 1.0, 5.0, node_ids=[0])
-        with pytest.raises(ValueError, match="unknown network"):
-            MultiNetworkSystem(networks=[net], memberships=[frozenset({0, 3})])
+        # the ids cover nodes 0 and 2, so node 1 belongs to no network
+        net = DirectedNetwork(np.zeros((2, 2)), 1.0, 1.0, 5.0, [0, 2])
+        with pytest.raises(ValueError, match="orphan node 1"):
+            MultiNetworkSystem((net,))
+        nets = [DirectedNetwork(np.zeros((1, 1)), 1.0, 1.0, 5.0, [i]) for i in (3, 0, 1)]
+        with pytest.raises(ValueError, match="orphan node 2"):
+            MultiNetworkSystem(tuple(nets))
 
     def test_single_network_wrapper(self):
-        net = make_network(generate_adjacency(5, 0.5, 2), 0.8, 1.0, 90.0)
-        sys = single_network_system(net)
+        net = DirectedNetwork(generate_adjacency(5, 0.5, 2), 0.8, 1.0, 90.0)
+        sys = MultiNetworkSystem((net,))
         assert sys.num_networks == 1
         assert sys.total_nodes == 5
-        assert sys.overlap_set == frozenset()
+        assert sys.memberships == (frozenset({0}),) * 5
         assert np.all(sys.composite_targets == 90.0)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_memberships_are_the_generated_ones(self, name):
+        prof = PROFILES[name]
+        for seed in range(3):
+            memb = generate_membership(prof.total_nodes, name, seed)
+            nets = []
+            for k, size in enumerate(prof.network_sizes):
+                ids = [i for i, m in enumerate(memb) if k in m]
+                nets.append(DirectedNetwork(np.zeros((size, size)), 1.0, 1.0, 10.0 * k, ids))
+            sys = MultiNetworkSystem(tuple(nets))
+            assert sys.memberships == memb
+            assert sys.total_nodes == prof.total_nodes
+            means = [np.mean([10.0 * k for k in sorted(m)]) for m in memb]
+            assert sys.composite_targets[:, 0].tolist() == means
 
 
 class TestMembershipProfiles:

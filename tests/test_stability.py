@@ -9,7 +9,6 @@ from pinnet.network import (
     MultiNetworkSystem,
     generate_adjacency,
     laplacian,
-    make_network,
 )
 from pinnet.stability import (
     CertificateTest,
@@ -214,10 +213,11 @@ class TestCertificateTest:
         l_sym = np.zeros((1, 1))
         params = StabilityParams(delta=1.0)
         ok = CertificateTest(l_sym, 1.0, 1.0, 0.6, params)
-        assert ok.xi(np.ones(1)) == 0.0 and ok.eigensolves == 0
+        assert ok.xis(np.ones((1, 1)))[0] == 0.0 and ok.eigensolves == 0
         bad = CertificateTest(l_sym, 1.0, 1.0, 0.4, params)
-        assert bad.xi(np.ones(1)) == check_gain(l_sym, np.ones(1), 1.0, 1.0, 0.4, params).xi
-        assert bad.xi(np.zeros(1)) == 1.0 and bad.eigensolves == 2
+        expected = check_gain(l_sym, np.ones(1), 1.0, 1.0, 0.4, params).xi
+        assert bad.xis(np.ones((1, 1)))[0] == expected
+        assert bad.xis(np.zeros((1, 1)))[0] == 1.0 and bad.eigensolves == 2
 
     def test_rejects_bad_input(self):
         params = StabilityParams()
@@ -228,9 +228,28 @@ class TestCertificateTest:
         with pytest.raises(ValueError):
             CertificateTest(np.zeros((2, 2)), 1.0, 1.0, -0.1, params)
         test = CertificateTest(np.zeros((2, 2)), 1.0, 1.0, 1.0, params)
-        for pins in (np.ones(3), np.array([0.5, 1.0]), np.diag([1.0, 2.0])):
+        for pins in (np.ones((1, 3)), np.array([[0.5, 1.0]]), np.diag([1.0, 2.0]), np.ones(2)):
             with pytest.raises(ValueError):
-                test.xi(pins)
+                test.xis(pins)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_constants_rejected(bad):
+    """NaN and infinite couplings, gammas and gains raise instead of passing a sign test."""
+    l_sym, pins, params = np.zeros((2, 2)), np.ones(2), StabilityParams()
+    calls = [
+        lambda: stability_matrix(l_sym, pins, bad, 1.0, 1.0),
+        lambda: stability_matrix(l_sym, pins, 1.0, bad, 1.0),
+        lambda: stability_matrix(l_sym, pins, 1.0, 1.0, bad),
+        lambda: check_gain(l_sym, pins, 1.0, 1.0, bad, params),
+        lambda: solve_min_gain(l_sym, pins, bad, 1.0, params),
+        lambda: solve_min_gain(l_sym, pins, 1.0, bad, params),
+        lambda: CertificateTest(l_sym, bad, 1.0, 1.0, params),
+        lambda: CertificateTest(l_sym, 1.0, 1.0, bad, params),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 class TestViolationNorm:
@@ -284,6 +303,5 @@ class TestJointMargin:
             assert res.feasible
             genes.append(pins)
             gains.append(res.gain)
-        memberships = [frozenset({0}), frozenset({0, 1}), frozenset({0, 1}), frozenset({0, 1})]
-        sys = MultiNetworkSystem(networks=nets, memberships=memberships)
+        sys = MultiNetworkSystem(tuple(nets))
         assert joint_stability_margin(sys, genes, gains, params) >= -1e-9
