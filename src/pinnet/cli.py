@@ -91,22 +91,18 @@ def cmd_oracle(args) -> int:
     if sys_.num_networks != 1:
         raise ValueError("oracle runs on single-network scenarios only")
     result = brute_force_min_pinning(sys_.networks[0], sc.ga.stability)
-    if result is None:
-        print(json.dumps({"feasible": False}, indent=2))
-        return 2
-    count, pins = result
-    payload = {
-        "feasible": True,
-        "minimal_count": count,
-        "pinned_nodes": [int(i) for i in np.nonzero(pins)[0]],
-    }
+    payload = {"feasible": result is not None}
+    if result is not None:
+        count, pins = result
+        payload["minimal_count"] = count
+        payload["pinned_nodes"] = [int(i) for i in np.nonzero(pins)[0]]
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         with open(args.out / "oracle.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 0
+    return 0 if result is not None else 2
 
 
 def cmd_gen_scenario(args) -> int:

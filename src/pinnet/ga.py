@@ -20,19 +20,23 @@ A generation is a (P, G) gene matrix with parallel pinned-count, xi and
 fitness vectors; the fitness of every row is recomputed from its count and
 xi at the generation's penalty coefficient, so the adaptive penalty needs no
 new certificate test.
-A chromosome gets one certificate test per network unless its pinned count
-alone proves that it can neither survive truncation nor become the best
-feasible find: fitness is at least the pinned count, so such a child is
-dropped untested, which changes no population, series or reported plan.
+Offspring are scored CHUNK_ROWS at a time.  A child is settled, and
+dropped, once it is proven that it can neither survive truncation nor become
+the best feasible find: its fitness would sort it after population_size
+rows already scored, and its pinned count is at or above the best feasible
+count or its xi is proven nonzero.  Fitness is at least the pinned count,
+so some children are settled untested; the others are settled as soon as a
+network's test proves their xi above the threshold, and skip the networks
+that follow.  This changes no population, series or reported plan.
 Beyond the current generation, the run keeps only the best feasible row it
 has seen.  Only the reported chromosomes are read out as per-network gene
 vectors and get gains.
 
 The certificate tests go through one ``CertificateTest`` per network, built once
-per search at the search gain.  Each generation is scored with one call per
-network on that network's columns of the gene matrix: stacked Cholesky
-factors settle the feasible sets, and only the sets they reject are
-eigensolved.
+per search at the search gain, with one call per network and chunk on that
+network's columns of the chunk's unsettled rows: stacked Cholesky factors
+settle the feasible sets, a second factorisation proves xi above a row's
+threshold where it can, and only the sets left are eigensolved.
 """
 
 from __future__ import annotations
@@ -45,11 +49,14 @@ import numpy as np
 
 from .network import MultiNetworkSystem
 from .stability import (
+    CHUNK_ROWS,
     CertificateTest,
     StabilityParams,
     check_gain,
     solve_min_gain,
 )
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -124,13 +131,27 @@ def _certificate_tests(sys: MultiNetworkSystem, cfg: GaConfig) -> list[Certifica
 
 
 def _violations(
-    genes: np.ndarray, tests: Sequence[CertificateTest], sys: MultiNetworkSystem
+    genes: np.ndarray,
+    tests: Sequence[CertificateTest],
+    sys: MultiNetworkSystem,
+    settle: np.ndarray,
 ) -> np.ndarray:
-    """Each row's xi: the networks' violations summed in network order, one call each."""
+    """Each row's xi, the networks' violations summed in network order, or proof it exceeds settle.
+
+    A row is done once its xi is proven above its threshold in ``settle``:
+    it skips the networks that follow, and each network's test gets the
+    bound settle * (1 + 8 eps) - (sum so far), above which the rounded sum
+    exceeds settle.  Such a row reads a partial sum or inf, above its
+    threshold; every other row, and every row with an infinite threshold,
+    reads its xi.
+    """
     xi = np.zeros(len(genes))
-    if len(genes):
-        for test, net in zip(tests, sys.networks):
-            xi += test.xis(genes[:, net.node_ids])
+    for test, net in zip(tests, sys.networks):
+        live = np.flatnonzero(xi <= settle)
+        if live.size == 0:
+            break
+        bounds = settle[live] * (1.0 + 8.0 * _EPS) - xi[live]
+        xi[live] += test.xis(genes[live[:, np.newaxis], net.node_ids], bounds)
     return xi
 
 
@@ -144,23 +165,33 @@ def _pinned_counts(genes: np.ndarray, sys: MultiNetworkSystem) -> np.ndarray:
     return genes.sum(axis=1, dtype=np.int64)
 
 
-def _cannot_matter(
+def _settling_bounds(
     counts: np.ndarray,
-    fitness: np.ndarray,
-    parent_counts: np.ndarray,
-    best_count: Optional[int],
-) -> list[bool]:
-    """Which offspring, by pinned count c alone, can change nothing in the run.
+    scored_fitness: np.ndarray,
+    size: int,
+    lam: float,
+    best_count: float,
+) -> np.ndarray:
+    """The xi above which each offspring, of pinned count c, can change nothing in the run.
 
-    Fitness is at least c (lambda >= 0, xi >= 0), so a child with (c, c) at or
-    above every parent's (fitness, pinned count) sorts after all parents in
-    the stable truncation sort, and with c at or above the best feasible
-    count it cannot replace that find either (its rule is a strict <).
+    The cut-off F is the size-th smallest fitness of the rows already scored:
+    the parents and the offspring kept before these.  They all come first
+    in the stable truncation sort, and a row's fitness is never below its
+    pinned count, so an offspring whose fitness is at or above F, with
+    c >= F, or strictly above it, is dropped.  With c >= F a child is dropped
+    whatever its xi; it also cannot replace the best feasible find when
+    c >= best_count (that rule is a strict <), so it is settled untested
+    (-inf), and otherwise once xi > 0 proves it infeasible (0).  With c < F
+    the threshold is an upper bound on (F - c + ulp(F)) / lam, above which
+    the rounded c + lam * xi passes F; it is inf when lam is 0 or fewer than
+    size rows are scored.
     """
-    if best_count is None:
-        return [False] * len(counts)
-    worst = max(zip(fitness.tolist(), parent_counts.tolist()))
-    return [c >= best_count and (c, c) >= worst for c in counts.tolist()]
+    if len(scored_fitness) < size:
+        return np.full(len(counts), np.inf)
+    cut = np.partition(scored_fitness, size - 1)[size - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = ((cut - counts) + 2.0 * np.spacing(cut)) / lam * (1.0 + 8.0 * _EPS)
+    return np.where(counts >= cut, np.where(counts >= best_count, -np.inf, 0.0), reach)
 
 
 def _gains(genes: Sequence[np.ndarray], sys: MultiNetworkSystem, cfg: GaConfig):
@@ -266,12 +297,18 @@ class GaReport:
     ``best_gains`` and ``feasible_gains`` are their per-network gains, solved
     after the last generation (None where a network does not certify).  The
     series include the initial population as generation 0, so their length is
-    generations + 1.  ``pruned`` counts the offspring dropped untested because
-    their pinned count proved they could change nothing.  ``lmi_evaluations``
-    counts the certificate tests run, one per network for every other
-    chromosome bred: (population_size * (generations + 1) - pruned)
-    * num_networks.  ``eigensolves`` counts those the Cholesky test did not
-    settle, which fell through to an eigensolve.  ``gain_solves`` counts the
+    generations + 1.  ``first_feasible_generation`` is the generation in which
+    the run first found a feasible chromosome and ``best_feasible_generation``
+    the one in which it found ``best_feasible`` (None when none was found).
+
+    The work counters count per network test, not per chromosome.
+    ``lmi_evaluations`` counts the certificate tests run: a chromosome is
+    tested in network order until it is settled, so it takes between zero
+    and num_networks of them.  ``pruned`` counts the offspring settled
+    untested, by their pinned count alone.  ``bound_settled`` counts the
+    tests whose proof pass settled the chromosome without a spectrum, and
+    ``eigensolves`` those that fell through to an eigensolve.  The tests
+    neither counts passed the Cholesky test.  ``gain_solves`` counts the
     per-network gains found for the reported chromosomes: a minimal-gain
     solve each, or a ``check_gain`` at the fixed gain.
     """
@@ -285,8 +322,11 @@ class GaReport:
     mean_fitness: np.ndarray
     best_pinned_count: np.ndarray
     feasible_fraction: np.ndarray
+    first_feasible_generation: Optional[int]
+    best_feasible_generation: Optional[int]
     lmi_evaluations: int
     eigensolves: int
+    bound_settled: int
     gain_solves: int
     pruned: int
 
@@ -306,8 +346,11 @@ class GaReport:
             "mean_fitness_series": self.mean_fitness.tolist(),
             "best_pinned_count_series": self.best_pinned_count.tolist(),
             "feasible_fraction_series": self.feasible_fraction.tolist(),
+            "first_feasible_generation": self.first_feasible_generation,
+            "best_feasible_generation": self.best_feasible_generation,
             "lmi_evaluations": self.lmi_evaluations,
             "eigensolves": self.eigensolves,
+            "bound_settled": self.bound_settled,
             "gain_solves": self.gain_solves,
             "pruned": self.pruned,
         }
@@ -345,15 +388,20 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
     offspring combined, ranked by (fitness, pinned count) in a stable sort.
     With adaptive_penalty the coefficient grows linearly to twice its base
     value over the run, and every row is scored at its generation's
-    coefficient without a new test.  Offspring that ``_cannot_matter`` against
-    the re-scored parents are dropped before their certificate tests.
+    coefficient without a new test.  Offspring are scored CHUNK_ROWS at a
+    time against the ``_settling_bounds`` of the rows scored before them, so
+    the survival cut-off tightens as the brood is scored; a settled child
+    is dropped, untested or as soon as its tests prove it settled.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     tests = _certificate_tests(sys, cfg)
+    size = cfg.population_size
     genes = np.zeros((0, sys.total_nodes), dtype=np.uint8)
     counts, xi = np.zeros(0, dtype=np.int64), np.zeros(0)
-    best: Optional[tuple[int, np.ndarray]] = None  # (pinned count, row) of the best feasible find
-    tested = pruned = 0
+    # (pinned count, row, generation) of the best feasible find
+    best: Optional[tuple[int, np.ndarray, int]] = None
+    first_feasible: Optional[int] = None
+    pruned = 0
     series = np.zeros((4, cfg.generations + 1))
     for gen in range(cfg.generations + 1):
         growth = gen / cfg.generations if cfg.adaptive_penalty and cfg.generations else 0.0
@@ -362,24 +410,31 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
             brood = init_population(cfg, sys, rng)
         else:
             brood = _breed(genes, fit, counts, cfg, rng)
-        fit = _fitness(counts, xi, lam)
         brood_counts = _pinned_counts(brood, sys)
-        drop = _cannot_matter(brood_counts, fit, counts, None if best is None else best[0])
-        tried = np.logical_not(drop)
-        brood, brood_counts = brood[tried], brood_counts[tried]
-        pruned += len(tried) - len(brood)
-        tested += len(brood)
-        brood_xi = _violations(brood, tests, sys)
-        feasible = np.flatnonzero(brood_xi == 0.0)
-        if feasible.size:
-            i = feasible[np.argmin(brood_counts[feasible])]
-            if best is None or brood_counts[i] < best[0]:
-                best = int(brood_counts[i]), brood[i]
-        counts = np.concatenate([counts, brood_counts])
-        xi = np.concatenate([xi, brood_xi])
-        fit = _fitness(counts, xi, lam)
-        keep = np.lexsort((counts, fit))[: cfg.population_size]
-        genes = np.concatenate([genes, brood])[keep]
+        brood_xi = np.zeros(len(brood))
+        kept = np.ones(len(brood), dtype=bool)
+        fits = [_fitness(counts, xi, lam)]
+        for start in range(0, len(brood), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            c = brood_counts[rows]
+            best_count = np.inf if best is None else best[0]
+            settle = _settling_bounds(c, np.concatenate(fits), size, lam, best_count)
+            pruned += int(np.count_nonzero(settle < 0.0))
+            chunk_xi = _violations(brood[rows], tests, sys, settle)
+            scored = chunk_xi <= settle
+            kept[rows], brood_xi[rows] = scored, chunk_xi
+            fits.append(_fitness(c[scored], chunk_xi[scored], lam))
+            feasible = np.flatnonzero(scored & (chunk_xi == 0.0))
+            if feasible.size:
+                i = feasible[np.argmin(c[feasible])]
+                if c[i] < best_count:
+                    best = int(c[i]), brood[start + i], gen
+                    first_feasible = gen if first_feasible is None else first_feasible
+        counts = np.concatenate([counts, brood_counts[kept]])
+        xi = np.concatenate([xi, brood_xi[kept]])
+        fit = np.concatenate(fits)
+        keep = np.lexsort((counts, fit))[:size]
+        genes = np.concatenate([genes, brood[kept]])[keep]
         counts, xi, fit = counts[keep], xi[keep], fit[keep]
         series[:, gen] = fit[0], fit.mean(), counts[0], np.mean(xi == 0.0)
 
@@ -395,8 +450,11 @@ def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:
         mean_fitness=series[1],
         best_pinned_count=series[2].astype(np.int64),
         feasible_fraction=series[3],
-        lmi_evaluations=tested * sys.num_networks,
+        first_feasible_generation=first_feasible,
+        best_feasible_generation=None if best is None else best[2],
+        lmi_evaluations=sum(test.tested for test in tests),
         eigensolves=sum(test.eigensolves for test in tests),
+        bound_settled=sum(test.bound_settled for test in tests),
         gain_solves=sys.num_networks * (1 if best is None else 2),
         pruned=pruned,
     )

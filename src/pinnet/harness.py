@@ -500,7 +500,9 @@ def brute_force_min_pinning(
     returns the lexicographically first subset of the smallest size that
     certifies at c_max, or None when even pinning everything fails.  Every
     subset goes through the search's certificate test, so the oracle and the
-    GA share one feasibility rule.  Refuses networks above 16 nodes.
+    GA share one feasibility rule.  Only the verdict matters, so each test
+    gets a zero bound: a subset that fails is settled by the proof pass
+    where it can be, without an eigensolve.  Refuses networks above 16 nodes.
     """
     n = net.n
     if n > BRUTE_FORCE_NODE_CAP:
@@ -514,7 +516,7 @@ def brute_force_min_pinning(
         subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
         pins = np.zeros((len(subsets), n))
         pins[np.arange(len(subsets))[:, np.newaxis], subsets] = 1.0
-        passing = np.flatnonzero(test.xis(pins) == 0.0)
+        passing = np.flatnonzero(test.xis(pins, np.zeros(len(pins))) == 0.0)
         if passing.size:
             return size, pins[passing[0]]
     return None

@@ -18,11 +18,12 @@ sqrt(sum_i max(0, delta - q*lambda_i)^2) at c = c_max; xi is zero exactly on
 feasible sets, which is what makes it usable as a search penalty.
 
 The search tests many pin sets of one network at one gain through a
-``CertificateTest``: it forms 2*C*gamma*L_s once, takes a whole generation's
-pin sets as one (B, n) matrix and factors them a chunk at a time in one
-reusable (CHUNK_ROWS, n, n) stack, settles a set as feasible when
-M - (delta/q + tol)*I has a Cholesky factor, and eigensolves only the sets
-that test rejects, which need the spectrum for xi anyway.
+``CertificateTest``: it forms 2*C*gamma*L_s once, takes the pin sets as one
+(B, n) matrix and factors them a chunk at a time in one reusable
+(CHUNK_ROWS, n, n) stack, settles a set as feasible when
+M - (delta/q + tol)*I has a Cholesky factor, and, given a bound on xi,
+settles a rejected set whose xi a second factorisation proves above it.
+Only the sets left are eigensolved, which need the spectrum for xi anyway.
 """
 
 from __future__ import annotations
@@ -165,11 +166,17 @@ class CertificateTest:
     2*C*gamma*L_s is formed and checked once, with the two values each
     diagonal entry of M (and of M - shift*I) can take: unpinned and pinned.
     ``xis`` tests a (B, n) matrix of pin sets CHUNK_ROWS at a time in one
-    reusable (CHUNK_ROWS, n, n) stack that holds the off-diagonal part: a row
-    is feasible, with xi = 0 and no spectrum, when M - (delta/q + tol)*I has a
-    Cholesky factor; every other row of the chunk is eigensolved in one
-    stacked call, which gives ``check_gain``'s verdict and xi.
-    ``eigensolves`` counts those fall-throughs, one per matrix.
+    reusable (CHUNK_ROWS, n, n) stack that holds the off-diagonal part; each
+    pass writes its rows' diagonals into the first slots of the stack.  A row
+    is feasible, with xi = 0 and no spectrum, when M - (delta/q + tol)*I has
+    a Cholesky factor.  A row that fails it and has a finite bound b gets a
+    second factorisation at the proof shift (delta - b)/q - 2*(tol +
+    2*eps*|(delta - b)/q|): when that fails too, lambda_min lies below
+    (delta - b)/q by more than the rounding of both tests, so xi > b, and the
+    row reads inf with no spectrum.  The rows left are eigensolved in one
+    stacked call, which gives ``check_gain``'s verdict and xi.  ``tested``
+    counts the rows tested, ``bound_settled`` those the proof pass settled
+    and ``eigensolves`` the rows eigensolved, one per matrix.
 
     A floating-point Cholesky factor of M - s*I proves M >= s*I only up to a
     rounding term that grows like (n+1)*eps times the size of M (Rump,
@@ -179,7 +186,9 @@ class CertificateTest:
     pass: on sampled matrices of 2-70 rows the Cholesky test passed up to
     2.04*eps*||M||_F above eigvalsh's lambda_min.  This test uses
     tol = (n+1)*eps*(||2*C*gamma*L_s||_F + 2*gamma*c*sqrt(n)), computed once;
-    it bounds (n+1)*eps*||M||_F for every pin set.
+    it bounds (n+1)*eps*||M||_F for every pin set.  The proof shift keeps
+    one tol for the factorisation, one for eigvalsh, and 4*eps of the shift
+    for forming it and the diagonal.
     """
 
     def __init__(
@@ -195,21 +204,26 @@ class CertificateTest:
             raise ValueError(f"gain must be finite and >= 0, got {gain!r}")
         n = len(base)
         norm_bound = float(np.linalg.norm(base)) + 2.0 * gamma * gain * n**0.5
-        shift = params.delta / params.q + (n + 1) * _EPS * norm_bound
+        self._tol = (n + 1) * _EPS * norm_bound
         # Row 0 unpinned, row 1 pinned; the same bits as _with_pins and
         # _positive_definite give.
         lift = gain * (2.0 * gamma * np.array([[0.0], [1.0]]))
         self._m_diag = np.diagonal(base) + lift
-        self._shifted_diag = self._m_diag - shift
+        self._shifted_diag = self._m_diag - (params.delta / params.q + self._tol)
         # The LAPACK gufuncs copy their argument, so only the diagonals of
-        # the stack change from one chunk to the next.
+        # the stack change from one pass to the next.
         self._stack = np.repeat(base[np.newaxis], CHUNK_ROWS, axis=0)
         self._diagonals = self._stack.reshape(CHUNK_ROWS, n * n)[:, :: n + 1]
         self._params = params
-        self.eigensolves = 0
+        self.tested = self.bound_settled = self.eigensolves = 0
 
-    def xis(self, pins: np.ndarray) -> np.ndarray:
-        """Each row's violation at the gain, for a (B, n) 0/1 matrix of pin sets."""
+    def xis(self, pins: np.ndarray, bounds: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each row's violation at the gain, for a (B, n) 0/1 matrix of pin sets.
+
+        With ``bounds``, one per row, a row whose xi is proven to exceed its
+        bound reads inf and is not eigensolved; an infinite bound, or none,
+        asks for the row's xi itself.
+        """
         pins = np.asarray(pins)
         n = self._stack.shape[1]
         if pins.ndim != 2 or pins.shape[1] != n:
@@ -217,22 +231,40 @@ class CertificateTest:
         pinned = pins == 1
         if not np.all(pinned | (pins == 0)):
             raise ValueError("pin indicators must be 0 or 1")
+        bounds = np.full(len(pins), np.inf) if bounds is None else np.asarray(bounds, np.float64)
+        if bounds.shape != (len(pins),):
+            raise ValueError(f"bounds shape {bounds.shape} does not match {len(pins)} rows")
+        p = self._params
         shifted = np.where(pinned, self._shifted_diag[1], self._shifted_diag[0])
         xi = np.zeros(len(pins))
         for start in range(0, len(pins), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            chunk = shifted[rows]
-            stack, diagonals = self._stack[: len(chunk)], self._diagonals[: len(chunk)]
-            diagonals[:] = chunk
-            with np.errstate(invalid="ignore"):
-                factors = _cholesky_lo(stack, signature="d->d")
-            failed = np.flatnonzero(np.isnan(np.diagonal(factors, axis1=1, axis2=2)).any(axis=1))
+            failed = start + self._failing(shifted[start : start + CHUNK_ROWS])
+            trial = failed[bounds[failed] < np.inf]
+            if trial.size:
+                proof = (p.delta - bounds[trial]) / p.q
+                proof -= 2.0 * (self._tol + 2.0 * _EPS * np.abs(proof))
+                lifted = np.where(pinned[trial], self._m_diag[1], self._m_diag[0])
+                proven = trial[self._failing(lifted - proof[:, np.newaxis])]
+                xi[proven] = np.inf
+                self.bound_settled += proven.size
+                failed = failed[xi[failed] == 0.0]
             if failed.size:
-                diagonals[failed] = np.where(pinned[rows][failed], self._m_diag[1], self._m_diag[0])
-                spectra = np.linalg.eigvalsh(stack[failed])
-                xi[start + failed] = _shortfall_norm(spectra, self._params.delta, self._params.q)
+                self._diagonals[: failed.size] = np.where(
+                    pinned[failed], self._m_diag[1], self._m_diag[0]
+                )
+                spectra = np.linalg.eigvalsh(self._stack[: failed.size])
+                xi[failed] = _shortfall_norm(spectra, p.delta, p.q)
                 self.eigensolves += failed.size
+        self.tested += len(pins)
         return xi
+
+    def _failing(self, diagonals: np.ndarray) -> np.ndarray:
+        """Indices of the rows whose matrix, with these diagonals, has no Cholesky factor."""
+        k = len(diagonals)
+        self._diagonals[:k] = diagonals
+        with np.errstate(invalid="ignore"):
+            factors = _cholesky_lo(self._stack[:k], signature="d->d")
+        return np.flatnonzero(np.isnan(np.diagonal(factors, axis1=1, axis2=2)).any(axis=1))
 
 
 def solve_min_gain(

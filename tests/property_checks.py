@@ -126,7 +126,7 @@ def score_row(genes, sys: MultiNetworkSystem, cfg: GaConfig, penalty_coeff=None)
     lam = cfg.penalty_coeff if penalty_coeff is None else penalty_coeff
     rows = np.asarray(genes)[np.newaxis]
     counts = ga._pinned_counts(rows, sys)
-    xi = ga._violations(rows, ga._certificate_tests(sys, cfg), sys)
+    xi = ga._violations(rows, ga._certificate_tests(sys, cfg), sys, np.full(1, np.inf))
     return ga._individual(sys, rows[0], ga._fitness(counts, xi, lam)[0], counts[0], xi[0])
 
 
@@ -688,56 +688,105 @@ def check_seeded_runs_identical(n_cases: int) -> None:
         assert evolve(cfg, sys).to_dict() == evolve(cfg, sys).to_dict()
 
 
-def check_pruned_search_matches_full_search(n_cases: int) -> None:
-    """Dropping offspring that cannot matter leaves the whole report as it was.
+def check_settled_search_matches_full_search(n_cases: int) -> None:
+    """Settling offspring early leaves the whole report as it was.
 
-    Each case runs ``evolve`` as it is and again with ``ga._cannot_matter``
-    replaced by a rule that prunes nothing, on a random single network or a
-    random overlap system, with either crossover op, ``adaptive_penalty`` on or
-    off, a fixed gain or the solved-gain search, delta in [0.1, 1] and a
-    penalty coefficient that may be 0.  Where anything was pruned, every
-    ``to_dict()`` field but the work counters must be equal; every run must
-    test each unpruned chromosome once per network.
+    Each case runs ``evolve`` as it is and again with ``ga._settling_bounds``
+    replaced by one that settles nothing, which turns off the running
+    cut-off, the pruning by pinned count, the bound proofs and the
+    cross-network early exit: that run tests every chromosome bred once per
+    network and eigensolves every set the Cholesky test rejects.  The cases
+    draw a random single network or overlap system, either crossover op, a
+    fixed gain or the solved-gain search and delta in [0.1, 1]; they take
+    the penalty coefficients 0, 0.1, 1 and 10 in turn, with and without
+    ``adaptive_penalty``, and every eighth case breeds a brood of 33-40 rows,
+    which the search scores in two chunks.  Every ``to_dict()`` field but the
+    work counters must be equal, and the settling run must not do more work.
     """
     rng = np.random.default_rng(1015)
-    rule = ga._cannot_matter
-    counters = ("lmi_evaluations", "eigensolves", "pruned")
-    pruned_cases = 0
+    rule = ga._settling_bounds
+    counters = ("lmi_evaluations", "eigensolves", "bound_settled", "pruned")
+    settled_cases = 0
     for i in range(n_cases):
         if rng.random() < 0.5:
             sys = MultiNetworkSystem((DirectedNetwork(_random_graph(rng, 3, 8), 0.8, 1.0, 1.0),))
         else:
             sys = _random_overlap_system(rng)
         c_max = float(rng.uniform(2.0, 20.0))
+        big = i % 8 == 7
         cfg = GaConfig(
-            population_size=int(rng.integers(2, 9)),
-            generations=int(rng.integers(1, 9)),
-            penalty_coeff=float(rng.choice([0.0, 0.1, 1.0, 10.0])),
+            population_size=int(rng.integers(CHUNK_ROWS + 1, 41) if big else rng.integers(2, 9)),
+            generations=int(rng.integers(1, 4 if big else 9)),
+            penalty_coeff=(0.0, 0.1, 1.0, 10.0)[i % 4],
             rng_seed=int(rng.integers(0, 2**31)),
             stability=StabilityParams(delta=float(rng.uniform(0.1, 1.0)), c_max=c_max),
             crossover_op=str(rng.choice(["uniform", "one_point"])),
-            adaptive_penalty=bool(rng.random() < 0.5),
+            adaptive_penalty=i // 4 % 2 == 1,
             fixed_gain=float(rng.uniform(0.5, c_max)) if rng.random() < 0.5 else None,
         )
-        pruned = evolve(cfg, sys)
-        bred = cfg.population_size * (cfg.generations + 1)
-        assert pruned.lmi_evaluations == (bred - pruned.pruned) * sys.num_networks, (i, cfg)
-        if pruned.pruned == 0:
-            continue  # the rule dropped nothing, so the run took the full search's path
-        pruned_cases += 1
-        ga._cannot_matter = lambda counts, fitness, parent_counts, best_count: [False] * len(counts)
+        settled = evolve(cfg, sys)
+        ga._settling_bounds = lambda counts, *rest: np.full(len(counts), np.inf)
         try:
             full = evolve(cfg, sys)
         finally:
-            ga._cannot_matter = rule
-        a, b = pruned.to_dict(), full.to_dict()
+            ga._settling_bounds = rule
+        a, b = settled.to_dict(), full.to_dict()
         case = (i, cfg, {k: (a[k], b[k]) for k in counters})
-        assert full.pruned == 0, case
+        bred = cfg.population_size * (cfg.generations + 1)
+        assert full.lmi_evaluations == bred * sys.num_networks, case
+        assert full.pruned == full.bound_settled == 0, case
         assert {k: v for k, v in a.items() if k not in counters} == {
             k: v for k, v in b.items() if k not in counters
         }, case
-        assert pruned.eigensolves <= full.eigensolves, case
-    assert pruned_cases >= n_cases // 4, pruned_cases
+        assert settled.lmi_evaluations <= full.lmi_evaluations, case
+        assert settled.eigensolves + settled.bound_settled <= full.eigensolves, case
+        settled_cases += settled.lmi_evaluations < full.lmi_evaluations
+    assert settled_cases >= n_cases // 4, settled_cases
+
+
+def check_bound_proofs_exceed_their_bounds(n_cases: int) -> None:
+    """A row that ``xis`` settles against a bound has an eigvalsh xi above that bound.
+
+    Graphs range over n = 1..70 with random coupling, gamma, q and gain,
+    and delta puts every row's eigvalsh lambda_min below delta/q, so each
+    row fails the feasibility test and gets the proof pass.  Each row's
+    bound b puts (delta - b)/q at lambda_min + j*tau, with tau =
+    (n+1)*eps*||M||_F and j drawn from [-2, 8]: the proof factors M at that
+    point less its slack of about 2*tau, so the proof shift lies within a
+    few tau of lambda_min, where rounding decides whether it fails.  Every
+    row that reads inf must have ``check_gain``'s xi strictly above its
+    bound, every other row must read that xi to the bit, and both outcomes
+    must occur.
+    """
+    rng = np.random.default_rng(1019)
+    eps = float(np.finfo(np.float64).eps)
+    seen = {True: 0, False: 0}
+    for i in range(n_cases):
+        g = _random_graph(rng, 1, 70)
+        n = g.shape[0]
+        l_sym = laplacian(g).symmetric_part
+        coupling = float(rng.uniform(0.3, 3.0))
+        gamma = float(rng.uniform(0.3, 3.0))
+        gain = float(rng.uniform(0.0, 20.0))
+        q = float(rng.uniform(0.5, 2.0))
+        pins = (rng.random((int(rng.integers(1, 5)), n)) < rng.uniform(0.0, 1.0)).astype(np.uint8)
+        ms = [stability_matrix(l_sym, row, coupling, gain, gamma) for row in pins]
+        lam = np.array([np.linalg.eigvalsh(m)[0] for m in ms])
+        tau = (n + 1) * eps * np.array([np.linalg.norm(m) for m in ms])
+        params = StabilityParams(
+            delta=q * (max(float(lam.max()), 0.0) + float(rng.uniform(0.01, 1.0))), q=q
+        )
+        bounds = params.delta - q * (lam + rng.uniform(-2.0, 8.0, size=len(pins)) * tau)
+        xis = CertificateTest(l_sym, coupling, gamma, gain, params).xis(pins, bounds)
+        for row, xi, bound in zip(pins, xis, bounds):
+            exact = check_gain(l_sym, row, coupling, gamma, gain, params).xi
+            case = (i, n, row.tolist(), gain, params, bound, exact)
+            if xi == np.inf:
+                assert exact > bound, case
+            else:
+                assert xi == exact, case
+            seen[xi == np.inf] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
 
 
 def check_stacked_oracle_matches_subset_loop(n_cases: int) -> None:
@@ -846,7 +895,8 @@ ALL_CHECKS = (
     ("elitist best-fitness monotone", check_elitist_best_fitness_monotone),
     ("overlap nodes counted once", check_overlap_nodes_counted_once),
     ("seeded reruns identical", check_seeded_runs_identical),
-    ("pruned search matches the full search", check_pruned_search_matches_full_search),
+    ("pruned search matches the full search", check_settled_search_matches_full_search),
+    ("bound proofs exceed their bounds", check_bound_proofs_exceed_their_bounds),
     ("stacked oracle matches the subset walk", check_stacked_oracle_matches_subset_loop),
     ("csv kernel matches %", check_csv_kernel_matches_percent),
 )

@@ -121,6 +121,19 @@ def test_oracle_cli(scenario_file, capsys):
     assert payload["minimal_count"] >= 1
 
 
+def test_oracle_writes_its_verdict_when_nothing_certifies(tmp_path, capsys):
+    # no edges, so pinning every node at c_max gives lambda_min 2 < delta
+    sc = tiny_single(n=9)
+    sc = replace(
+        sc, threshold=1.0, ga=replace(sc.ga, stability=StabilityParams(delta=3.0, c_max=1.0))
+    )
+    path, out = tmp_path / "uncertifiable.json", tmp_path / "oracle"
+    save_scenario(sc, path)
+    assert main(["oracle", "--scenario", str(path), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"feasible": False}
+    assert json.loads((out / "oracle.json").read_text()) == {"feasible": False}
+
+
 def test_missing_scenario_is_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

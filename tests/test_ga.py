@@ -143,7 +143,7 @@ class TestFitness:
         sys = overlap_system(seed=1)
         tests = ga._certificate_tests(sys, GaConfig())
         monkeypatch.setattr(CertificateTest, "xis", lambda *a: pytest.fail("xis called"))
-        xi = ga._violations(np.zeros((0, 5), dtype=np.uint8), tests, sys)
+        xi = ga._violations(np.zeros((0, 5), dtype=np.uint8), tests, sys, np.zeros(0))
         assert xi.shape == (0,)
 
     def test_gene_outside_zero_one_rejected(self):
@@ -385,9 +385,9 @@ class TestEvolve:
         tests, solves, parents = [], [], []
         verdicts, solve, breed = CertificateTest.xis, ga.solve_min_gain, ga._breed
 
-        def spy_verdicts(test, pins):
+        def spy_verdicts(test, pins, bounds=None):
             tests.extend(pins)
-            return verdicts(test, pins)
+            return verdicts(test, pins, bounds)
 
         def spy_breed(genes, fit, counts, cfg, rng):
             parents.append((genes.copy(), fit.copy(), counts.copy()))
@@ -400,8 +400,8 @@ class TestEvolve:
         cfg = self._cfg(adaptive_penalty=True, generations=4)
         report = evolve(cfg, sys)
         assert len(report.best_fitness) == 5
-        # one certificate test per network per chromosome bred; gains are
-        # solved only for the two reported chromosomes
+        # lmi_evaluations counts the rows tested; gains are solved only for
+        # the two reported chromosomes
         assert len(tests) == report.lmi_evaluations
         assert 0 < report.eigensolves < report.lmi_evaluations
         assert len(solves) <= 2 * sys.num_networks
@@ -452,9 +452,10 @@ class TestEvolve:
 
     def test_seeded_multi50_reports_match_the_recording(self):
         # Recorded when breeding began to draw a generation in one call per
-        # operator: the random stream, the verdicts, the fitness values and
-        # the work counters (lmi_evaluations, eigensolves, gain_solves, pruned)
-        # must not move.
+        # operator: the random stream, the verdicts and the fitness values
+        # must not move.  The work counters (lmi_evaluations, eigensolves,
+        # bound_settled, gain_solves, pruned) were re-recorded, alone, when
+        # the scorer began to settle offspring against a running cut-off.
         sc = builtin_scenario("multi-50")
         sys = build_system(sc)
         cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7)
@@ -474,24 +475,29 @@ class TestEvolve:
         assert evolve(cfg, build_system(sc)).to_dict() == RECORDED_SINGLE50_FIXED
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_one_certificate_test_per_network_for_each_unpruned_chromosome(
+    def test_each_unpruned_chromosome_is_tested_at_most_once_per_network(
         self, adaptive, monkeypatch
     ):
-        rows = []
+        calls = []
         verdicts = CertificateTest.xis
 
-        def spy_verdicts(test, pins):
-            rows.extend(pins)
-            return verdicts(test, pins)
+        def spy_verdicts(test, pins, bounds=None):
+            calls.append((test, len(pins)))
+            return verdicts(test, pins, bounds)
 
         monkeypatch.setattr(CertificateTest, "xis", spy_verdicts)
         sys = overlap_system(seed=2)
         cfg = self._cfg(adaptive_penalty=adaptive)
         report = evolve(cfg, sys)
         bred = cfg.population_size * (cfg.generations + 1)
+        tests = list(dict.fromkeys(test for test, _ in calls))
+        first = sum(rows for test, rows in calls if test is tests[0])
         assert 0 < report.pruned < bred
-        assert len(rows) == report.lmi_evaluations
-        assert report.lmi_evaluations == (bred - report.pruned) * sys.num_networks
+        # every unpruned chromosome is tested in the first network, and a
+        # later network skips those whose earlier tests settled them
+        assert first == bred - report.pruned
+        assert sum(rows for _, rows in calls) == report.lmi_evaluations
+        assert first <= report.lmi_evaluations <= first * sys.num_networks
 
     def test_fixed_gain_mode_certifies_at_that_gain(self):
         sys = small_system(n=5, seed=2, threshold=0.5)
@@ -529,7 +535,8 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                          'best_pinned_count': 11,
                                          'best_pinned_count_series': [15, 12, 12, 11, 11, 11],
                                          'best_xi': 0.0,
-                                         'eigensolves': 35,
+                                         'eigensolves': 27,
+                                         'bound_settled': 8,
                                          'feasible_best': {'gains': [26.381674849757797,
                                                                      34.33143151917343,
                                                                      38.85968267833798],
@@ -537,6 +544,8 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                                      '0100010000010110000001000',
                                                                      '0010001110001001010000000'],
                                                            'pinned_count': 11},
+                                         'first_feasible_generation': 0,
+                                         'best_feasible_generation': 3,
                                          'feasible_fraction_series': [0.35,
                                                                       0.9,
                                                                       0.9,
@@ -545,7 +554,7 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                                       0.95],
                                          'gain_solves': 6,
                                          'generations': [0, 1, 2, 3, 4, 5],
-                                         'lmi_evaluations': 285,
+                                         'lmi_evaluations': 278,
                                          'mean_fitness_series': [53.19525350252504,
                                                                  17.420219846368774,
                                                                  15.533740290768412,
@@ -565,7 +574,8 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                   'best_pinned_count': 12,
                                   'best_pinned_count_series': [15, 14, 13, 13, 12, 12],
                                   'best_xi': 0.0,
-                                  'eigensolves': 40,
+                                  'eigensolves': 25,
+                                  'bound_settled': 14,
                                   'feasible_best': {'gains': [27.215869619005087,
                                                               38.468757086028425,
                                                               41.27802841414743],
@@ -573,10 +583,12 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                               '0001011100010010010000100',
                                                               '0001000100001010010010100'],
                                                     'pinned_count': 12},
+                                  'first_feasible_generation': 0,
+                                  'best_feasible_generation': 4,
                                   'feasible_fraction_series': [0.35, 0.95, 0.9, 0.95, 0.95, 1.0],
                                   'gain_solves': 6,
                                   'generations': [0, 1, 2, 3, 4, 5],
-                                  'lmi_evaluations': 297,
+                                  'lmi_evaluations': 285,
                                   'mean_fitness_series': [53.19525350252504,
                                                           17.501398305893794,
                                                           16.085346640836917,
@@ -596,7 +608,8 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                 'best_pinned_count': 11,
                                 'best_pinned_count_series': [15, 12, 12, 11, 11, 11],
                                 'best_xi': 0.0,
-                                'eigensolves': 38,
+                                'eigensolves': 27,
+                                'bound_settled': 10,
                                 'feasible_best': {'gains': [26.381674849757797,
                                                             34.33143151917343,
                                                             38.85968267833798],
@@ -604,10 +617,12 @@ RECORDED_MULTI50 = {'adaptive_penalty': {'best_fitness': 11.0,
                                                             '0100010000010110000001000',
                                                             '0010001110001001010000000'],
                                                   'pinned_count': 11},
+                                'first_feasible_generation': 0,
+                                'best_feasible_generation': 3,
                                 'feasible_fraction_series': [0.35, 0.9, 0.9, 0.95, 0.95, 1.0],
                                 'gain_solves': 6,
                                 'generations': [0, 1, 2, 3, 4, 5],
-                                'lmi_evaluations': 291,
+                                'lmi_evaluations': 282,
                                 'mean_fitness_series': [53.19525350252504,
                                                         17.375183205307316,
                                                         15.495528779120296,
@@ -631,8 +646,11 @@ RECORDED_SINGLE50_FIXED = {'best_fitness': 52.57514633705439,
                            'best_pinned_count': 31,
                            'best_pinned_count_series': [23, 23, 26, 25, 28, 31],
                            'best_xi': 2.157514633705439,
-                           'eigensolves': 120,
+                           'eigensolves': 112,
+                           'bound_settled': 8,
                            'feasible_best': None,
+                           'first_feasible_generation': None,
+                           'best_feasible_generation': None,
                            'feasible_fraction_series': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                            'gain_solves': 1,
                            'generations': [0, 1, 2, 3, 4, 5],

@@ -219,6 +219,22 @@ class TestCertificateTest:
         assert bad.xis(np.ones((1, 1)))[0] == expected
         assert bad.xis(np.zeros((1, 1)))[0] == 1.0 and bad.eigensolves == 2
 
+    def test_a_bound_settles_rows_whose_xi_is_proven_above_it(self):
+        # M = [0.4] against delta 1: xi = 0.6, so a bound of 0.5 is proven
+        # exceeded without a spectrum, and one of 0.7 or inf asks for xi.
+        test = CertificateTest(np.zeros((1, 1)), 1.0, 1.0, 0.2, StabilityParams(delta=1.0))
+        pins = np.ones((4, 1))
+        xi = test.xis(pins, np.array([0.5, 0.7, np.inf, 0.0]))
+        exact = check_gain(np.zeros((1, 1)), np.ones(1), 1.0, 1.0, 0.2, StabilityParams()).xi
+        assert xi.tolist() == [np.inf, exact, exact, np.inf]
+        assert (test.tested, test.bound_settled, test.eigensolves) == (4, 2, 2)
+        # a passing row reads 0 whatever its bound
+        ok = CertificateTest(np.zeros((1, 1)), 1.0, 1.0, 0.6, StabilityParams(delta=1.0))
+        assert ok.xis(np.ones((1, 1)), np.zeros(1)).tolist() == [0.0]
+        assert ok.bound_settled == ok.eigensolves == 0
+        with pytest.raises(ValueError, match="bounds shape"):
+            test.xis(pins, np.zeros(3))
+
     def test_rejects_bad_input(self):
         params = StabilityParams()
         with pytest.raises(ValueError):
