@@ -87,6 +87,8 @@ class GaConfig:
             raise ValueError(f"penalty_coeff must be finite and >= 0, got {self.penalty_coeff!r}")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.crossover_op not in ("uniform", "one_point"):
             raise ValueError(f"unknown crossover_op {self.crossover_op!r}")
         gain = self.fixed_gain

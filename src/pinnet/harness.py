@@ -7,9 +7,9 @@ simulation settings.  Per-trial seeds derive from the master seed and trial
 index through ``numpy``'s SeedSequence spawning, so batches are reproducible
 and trials independent.
 
-A single-network scenario is built as the one-network case of a membership
-profile.  Scenario files are read and written from the dataclass fields and
-their type hints alone; unknown keys are errors at every level, and a missing
+A scenario sets ``n`` for one network, built as a one-network membership
+profile, or ``profile``.  Scenario files are read and written from the
+dataclass fields and their type hints alone; unknown keys are errors at every level, and a missing
 field without a default is named by its JSON path.
 
 Built-in profiles cover a 50-node single network and three overlapping
@@ -78,11 +78,10 @@ class NetworkSpec:
 class Scenario:
     """One reproducible experiment: construction, GA, simulation, seeds.
 
-    A single scenario takes ``n`` and no ``profile``; it runs as the profile
-    of one n-node network.
+    Exactly one of ``n`` and ``profile`` is set; ``n`` runs as the profile of
+    one n-node network.
     """
 
-    kind: str  # "single" | "multi"
     threshold: float
     networks: tuple[NetworkSpec, ...]
     ga: GaConfig = field(default_factory=GaConfig)
@@ -93,27 +92,25 @@ class Scenario:
     profile: Optional[str | MembershipProfile] = None
 
     def __post_init__(self):
-        if self.kind not in ("single", "multi"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        takes, refuses = ("n", "profile") if self.kind == "single" else ("profile", "n")
-        if getattr(self, refuses) is not None:
-            raise ValueError(f"a {self.kind} scenario takes {takes} and no {refuses}")
         k, got = self.resolved_profile().num_networks, len(self.networks)
         if got != k:
-            raise ValueError(f"this {self.kind} scenario needs {k} network specs, got {got}")
+            raise ValueError(f"this scenario needs {k} network specs, got {got}")
         object.__setattr__(self, "networks", tuple(self.networks))
 
     def resolved_profile(self) -> MembershipProfile:
-        if self.kind == "single":
-            if self.n is None or self.n < 1:
-                raise ValueError("single scenarios need n >= 1")
+        if (self.n is None) == (self.profile is None):
+            got = "neither" if self.n is None else "both"
+            raise ValueError(f"a scenario takes exactly one of n and profile, got {got}")
+        if self.n is not None:
+            if self.n < 1:
+                raise ValueError("n must be >= 1")
             return MembershipProfile((self.n,), {1: self.n})
-        if self.profile is None:
-            raise ValueError("multi scenarios need a membership profile")
         if isinstance(self.profile, str):
             if self.profile not in PROFILES:
                 raise ValueError(
@@ -122,10 +119,6 @@ class Scenario:
                 )
             return PROFILES[self.profile]
         return self.profile
-
-    @property
-    def total_nodes(self) -> int:
-        return self.resolved_profile().total_nodes
 
 
 @dataclass(frozen=True)
@@ -167,6 +160,8 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 
 def _trial_seeds(master: int, trial: int, k: int) -> dict:
+    if trial < 0:
+        raise ValueError(f"trial_index must be >= 0, got {trial}")
     ss = np.random.SeedSequence(master, spawn_key=(trial,))
     kids = ss.spawn(3 + k)
     return {
@@ -178,14 +173,12 @@ def _trial_seeds(master: int, trial: int, k: int) -> dict:
 
 
 def build_system(sc: Scenario, trial_index: int = 0) -> MultiNetworkSystem:
-    """Construct the trial's networks from the derived seeds."""
+    """Construct the trial's networks: their node ids, then their adjacencies."""
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
-    prof = sc.resolved_profile()
-    memberships = generate_membership(prof.total_nodes, prof, seeds["membership"])
+    node_ids = generate_membership(sc.resolved_profile(), seeds["membership"])
     nets = []
-    for k, spec in enumerate(sc.networks):
-        ids = [i for i, m in enumerate(memberships) if k in m]
-        g = generate_adjacency(len(ids), sc.threshold, seeds["adjacency"][k])
+    for spec, ids, seed in zip(sc.networks, node_ids, seeds["adjacency"]):
+        g = generate_adjacency(len(ids), sc.threshold, seed)
         nets.append(DirectedNetwork(g, spec.coupling_strength, spec.gamma, spec.target, ids))
     return MultiNetworkSystem(tuple(nets))
 
@@ -195,17 +188,12 @@ def draw_initial_states(
 ) -> np.ndarray:
     """Per-node Gaussian initial states.
 
-    A node draws from the mean of its member networks' (mean, std) pairs, the
-    same aggregation used for its composite target.
+    A node's (mean, std) is ``sys.node_means`` of its member networks' pairs,
+    the same aggregation used for its composite target.
     """
     seeds = _trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
     rng = np.random.default_rng(seeds["x0"])
-    mu = np.empty(sys.total_nodes)
-    sd = np.empty(sys.total_nodes)
-    for i, memb in enumerate(sys.memberships):
-        ks = sorted(memb)
-        mu[i] = float(np.mean([sc.networks[k].init_mean for k in ks]))
-        sd[i] = float(np.mean([sc.networks[k].init_std for k in ks]))
+    mu, sd = sys.node_means([(spec.init_mean, spec.init_std) for spec in sc.networks]).T
     return rng.normal(mu, sd)[:, None]
 
 
@@ -536,7 +524,6 @@ def _multi_scenario(profile: str, population_size: int) -> Scenario:
         for t, m, s in ((50.0, 45.0, 10.0), (70.0, 80.0, 12.0), (120.0, 130.0, 8.0))
     )
     return Scenario(
-        kind="multi",
         threshold=0.8,
         networks=specs,
         ga=GaConfig(
@@ -553,7 +540,6 @@ def _multi_scenario(profile: str, population_size: int) -> Scenario:
 # The built-in study scenarios by name, in the order the CLI lists them.
 BUILTIN_SCENARIOS = {
     "single-50": Scenario(
-        kind="single",
         threshold=0.5,
         networks=(_spec(90.0, 100.0, 15.0, coupling=0.8),),
         # Strictness 7.5 puts solved-gain closed loops at the error level
@@ -589,7 +575,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 # Keys older scenario files may carry that no longer configure anything.
-_RETIRED_KEYS = {StabilityParams: ("bisection_tol", "max_bisection_iters")}
+_RETIRED_KEYS = {StabilityParams: ("bisection_tol", "max_bisection_iters"), Scenario: ("kind",)}
 
 
 # The JSON values a field of each type accepts, and how an error names them.

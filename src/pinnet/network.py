@@ -3,10 +3,11 @@
 A network couples nodes through an asymmetric nonnegative adjacency matrix G
 (zero diagonal).  The associated Laplacian L has row sums zero; because G is
 asymmetric, stability analysis works with the symmetric part
-L_s = (L + L^T) / 2.  Several networks may share nodes: a system is its
+L_s = (L + L^T) / 2.  Several networks may share nodes: a membership
+profile's seeded draw gives each network its node ids, a system is its
 networks, each node's membership set is the networks whose node ids contain
 it, and every node gets a composite target equal to the arithmetic mean of
-its member networks' targets.
+its member networks' targets (``MultiNetworkSystem.node_means``).
 """
 
 from __future__ import annotations
@@ -162,51 +163,28 @@ PROFILES: dict[str, MembershipProfile] = {
 }
 
 
-def generate_membership(
-    n_nodes: int, profile: str | MembershipProfile, rng_seed: int
-) -> tuple[frozenset[int], ...]:
-    """Assign each node a set of network indices matching ``profile`` exactly.
+def generate_membership(profile: MembershipProfile, rng_seed: int) -> tuple[np.ndarray, ...]:
+    """Assign the profile's nodes to networks; each network's sorted node ids.
 
     Which nodes land in which overlap class, and which networks a shared node
     joins, are randomized given the seed; the class sizes and the per-network
     sizes are exact.  Assignment walks multiplicity classes from largest to
     smallest, always joining the networks with the most remaining capacity
-    (random tie-break), which succeeds whenever the profile is feasible.
+    (random tie-break), which succeeds whenever the profile can be met.
     """
-    if isinstance(profile, str):
-        try:
-            profile = PROFILES[profile]
-        except KeyError:
-            raise ValueError(
-                f"unknown profile {profile!r}; built-ins: {sorted(PROFILES)}"
-            ) from None
-    if profile.total_nodes > n_nodes:
-        raise ValueError(
-            f"infeasible profile: class counts total {profile.total_nodes} "
-            f"nodes but only {n_nodes} exist"
-        )
-    if profile.total_nodes != n_nodes:
-        raise ValueError(
-            f"profile covers {profile.total_nodes} nodes but N={n_nodes}; "
-            "every node needs a membership"
-        )
     rng = np.random.default_rng(rng_seed)
-    order = rng.permutation(n_nodes)
+    order = rng.permutation(profile.total_nodes)
+    mults = [m for m, c in sorted(profile.overlap_counts.items(), reverse=True) for _ in range(c)]
     caps = np.array(profile.network_sizes, dtype=np.int64)
-    memberships: list[set[int]] = [set() for _ in range(n_nodes)]
-    pos = 0
-    for mult in sorted(profile.overlap_counts, reverse=True):
-        for _ in range(profile.overlap_counts[mult]):
-            node = int(order[pos])
-            pos += 1
-            tie = rng.random(len(caps))
-            chosen = np.lexsort((tie, -caps))[:mult]
-            if caps[chosen].min() <= 0:
-                raise ValueError("infeasible profile: ran out of network capacity")
-            for k in chosen:
-                memberships[node].add(int(k))
-            caps[chosen] -= 1
-    return tuple(frozenset(m) for m in memberships)
+    member = np.zeros((len(caps), profile.total_nodes), dtype=bool)
+    for node, mult in zip(order, mults):
+        tie = rng.random(len(caps))
+        chosen = np.lexsort((tie, -caps))[:mult]
+        if caps[chosen].min() <= 0:
+            raise ValueError("infeasible profile: ran out of network capacity")
+        member[chosen, node] = True
+        caps[chosen] -= 1
+    return tuple(np.flatnonzero(row) for row in member)
 
 
 @dataclass(frozen=True)
@@ -215,8 +193,8 @@ class MultiNetworkSystem:
 
     Everything but the networks is derived from their node ids:
     ``memberships[i]`` is the set of networks whose ids contain node i, N is
-    one more than the largest id, and ``composite_targets`` holds, per node,
-    the mean of the member networks' targets (an (N, m) array).  Every node
+    one more than the largest id, and ``composite_targets`` is
+    ``node_means`` of the networks' targets, an (N, m) array.  Every node
     0..N-1 must belong to some network.
     """
 
@@ -234,19 +212,28 @@ class MultiNetworkSystem:
             raise ValueError("all networks must share one state dimension m")
         n_total = max((int(net.node_ids.max()) + 1 for net in nets if net.n), default=0)
         memb: list[set[int]] = [set() for _ in range(n_total)]
-        total = np.zeros((n_total, dims.pop()))
         for k, net in enumerate(nets):
             for i in net.node_ids.tolist():
                 memb[i].add(k)
-            total[net.node_ids] += net.target
-        for i, m in enumerate(memb):
-            if not m:
-                raise ValueError(f"orphan node {i}: belongs to no network")
-        counts = np.array([len(m) for m in memb], dtype=np.float64)
+        if set() in memb:
+            raise ValueError(f"orphan node {memb.index(set())}: belongs to no network")
         object.__setattr__(self, "networks", nets)
         object.__setattr__(self, "memberships", tuple(frozenset(m) for m in memb))
         object.__setattr__(self, "total_nodes", n_total)
-        object.__setattr__(self, "composite_targets", _frozen(total / counts[:, None]))
+        targets = self.node_means([net.target for net in nets])
+        object.__setattr__(self, "composite_targets", _frozen(targets))
+
+    def node_means(self, values: Sequence) -> np.ndarray:
+        """Per node, the mean of its networks' ``values`` (one scalar or m-vector each).
+
+        Sums in network order, then divides by the membership count.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        total = np.zeros((self.total_nodes,) + values.shape[1:])
+        for net, value in zip(self.networks, values, strict=True):
+            total[net.node_ids] += value
+        counts = np.array([len(m) for m in self.memberships], dtype=np.float64)
+        return (total.T / counts).T
 
     @property
     def num_networks(self) -> int:

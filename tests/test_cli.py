@@ -25,7 +25,7 @@ def test_gen_scenario_writes_loadable_file(tmp_path, capsys):
     code = main(["gen-scenario", "--profile", "multi-50", "--out", str(out)])
     assert code == 0
     sc = load_scenario(out / "multi-50.json")
-    assert sc.kind == "multi"
+    assert sc.profile == "small-50" and sc.n is None
     assert "wrote" in capsys.readouterr().out
 
 
@@ -260,8 +260,12 @@ def test_malformed_scenario_is_error(tmp_path, capsys, edit, named):
             lambda d: d["ga"]["stability"].update(q=-1.0),
             "error: scenario key ga.stability: q must be finite and > 0, got -1.0\n",
         ),
+        (
+            lambda d: d["ga"].update(rng_seed=-1),
+            "error: scenario key ga: rng_seed must be >= 0, got -1\n",
+        ),
     ],
-    ids=["nan-init-std-of-network-1", "negative-q"],
+    ids=["nan-init-std-of-network-1", "negative-q", "negative-ga-seed"],
 )
 def test_value_error_names_its_json_path(tmp_path, capsys, edit, line):
     file = tmp_path / "multi-50.json"
@@ -271,4 +275,17 @@ def test_value_error_names_its_json_path(tmp_path, capsys, edit, line):
     file.write_text(json.dumps(d))
     capsys.readouterr()
     assert main(["simulate", "--scenario", str(file)]) == 1
+    assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--trial", "-1"], "error: trial_index must be >= 0, got -1\n"),
+        (["--seed", "-3"], "error: rng_seed must be >= 0, got -3\n"),
+    ],
+    ids=["negative-trial", "negative-seed"],
+)
+def test_negative_seed_flags_name_their_field(capsys, flags, line):
+    assert main(["simulate", "--profile", "single-50", *flags]) == 1
     assert capsys.readouterr().err == line

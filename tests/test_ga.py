@@ -515,6 +515,8 @@ class TestEvolve:
             GaConfig(fixed_gain=0.0)
         with pytest.raises(ValueError):
             GaConfig(crossover_op="two_point")
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1$"):
+            GaConfig(rng_seed=-1)
 
 
 # evolve(...).to_dict() for built-in multi-50 (trial 0), population 20, 5 generations, seed 7.

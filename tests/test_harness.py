@@ -40,7 +40,6 @@ def tiny_single(n=8, seed=7, **ga_kw) -> Scenario:
         **ga_kw,
     )
     return Scenario(
-        kind="single",
         threshold=0.5,
         networks=(NetworkSpec(0.8, 1.0, 20.0, 22.0, 3.0),),
         ga=ga,
@@ -60,7 +59,6 @@ def tiny_multi(seed=3) -> Scenario:
 
     profile = MembershipProfile((5, 4), {2: 2, 1: 5})
     return Scenario(
-        kind="multi",
         threshold=0.4,
         networks=(
             NetworkSpec(1.5, 1.0, 10.0, 11.0, 1.0),
@@ -105,6 +103,34 @@ class TestBuildSystem:
         means = [np.mean([sc.networks[k].init_mean for k in m]) for m in sys.memberships]
         np.testing.assert_allclose(x0[:, 0], means, rtol=0.0, atol=1e-6)
         assert np.array_equal(draw_initial_states(sc, sys, 0), x0)  # deterministic per trial
+
+    @pytest.mark.parametrize("name", ["single-50", "multi-50", "multi-100", "multi-200"])
+    def test_initial_states_are_the_per_node_loop_to_the_bit(self, name):
+        rng = np.random.default_rng(5)
+        for seed in range(3):
+            sc = builtin_scenario(name, rng_seed=seed)
+            # the built-in constants, then ones whose means round differently
+            odd = tuple(
+                replace(s, init_mean=rng.uniform(-100, 100), init_std=rng.uniform(0.1, 20))
+                for s in sc.networks
+            )
+            for case in (sc, replace(sc, networks=odd)):
+                sys = build_system(case, 0)
+                want = per_node_loop_initial_states(case, sys, 0)
+                assert draw_initial_states(case, sys, 0).tobytes() == want.tobytes()
+
+
+def per_node_loop_initial_states(sc: Scenario, sys, trial_index: int) -> np.ndarray:
+    """The per-node loop draw_initial_states replaced, kept as its oracle."""
+    seeds = harness._trial_seeds(sc.rng_seed, trial_index, len(sc.networks))
+    rng = np.random.default_rng(seeds["x0"])
+    mu = np.empty(sys.total_nodes)
+    sd = np.empty(sys.total_nodes)
+    for i, memb in enumerate(sys.memberships):
+        ks = sorted(memb)
+        mu[i] = float(np.mean([sc.networks[k].init_mean for k in ks]))
+        sd[i] = float(np.mean([sc.networks[k].init_std for k in ks]))
+    return rng.normal(mu, sd)[:, None]
 
 
 class TestRunScenario:
@@ -417,7 +443,6 @@ class TestScenarioIO:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d.pop("kind"), "missing required key kind"),
             (lambda d: d.pop("networks"), "missing required key networks"),
             (lambda d: d.update(networks={}), "networks must be an array"),
             (lambda d: d["networks"][0].update(gamma="1"), "networks[0].gamma must be a number"),
@@ -435,17 +460,14 @@ class TestScenarioIO:
             (lambda d: d["networks"][0].pop("gamma"), "missing required key networks[0].gamma"),
             (lambda d: d.update(seed=7), "unknown top-level key(s) in scenario: seed"),
             (
-                lambda d: d.update(kind="multi", n=None, profile={**ONE_NETWORK, "extra": 1}),
+                lambda d: d.update(n=None, profile={**ONE_NETWORK, "extra": 1}),
                 "unknown profile key(s) in scenario: extra",
             ),
             (
-                lambda d: d.update(
-                    kind="multi", n=None, profile={**ONE_NETWORK, "overlap_counts": {"one": 8}}
-                ),
+                lambda d: d.update(n=None, profile={**ONE_NETWORK, "overlap_counts": {"one": 8}}),
                 "scenario key profile.overlap_counts has a non-integer key 'one'",
             ),
-            (lambda d: d.update(kind="multi", profile=ONE_NETWORK), "takes profile and no n"),
-            (lambda d: d.update(profile="small-50"), "takes n and no profile"),
+            (lambda d: d.update(n=None, profile="tiny-7"), "unknown membership profile 'tiny-7'"),
         ],
     )
     def test_malformed_values_name_their_path(self, edit, message):
@@ -454,6 +476,34 @@ class TestScenarioIO:
         with pytest.raises(ValueError) as err:
             scenario_from_dict(d)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, got",
+        [(lambda d: d.update(profile="small-50"), "both"), (lambda d: d.pop("n"), "neither")],
+        ids=["both", "neither"],
+    )
+    def test_exactly_one_of_n_and_profile(self, edit, got):
+        d = scenario_to_dict(tiny_single())
+        edit(d)
+        with pytest.raises(ValueError, match=f"exactly one of n and profile, got {got}$"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "sc, kind",
+        [
+            (tiny_single(), "single"),
+            (tiny_multi(), "multi"),
+            (builtin_scenario("single-50"), "single"),
+            (builtin_scenario("multi-50"), "multi"),
+        ],
+        ids=["tiny-single", "tiny-multi", "single-50", "multi-50"],
+    )
+    def test_files_that_still_carry_kind_load_unchanged(self, tmp_path, sc, kind):
+        save_scenario(sc, tmp_path / "new.json")
+        d = json.loads((tmp_path / "new.json").read_text())
+        assert "kind" not in d
+        (tmp_path / "old.json").write_text(json.dumps({"kind": kind, **d}))
+        assert load_scenario(tmp_path / "old.json") == load_scenario(tmp_path / "new.json") == sc
 
     def test_omitted_config_sections_get_defaults(self):
         d = scenario_to_dict(tiny_single())
@@ -473,11 +523,11 @@ class TestScenarioIO:
 
     def test_builtin_scenarios_shapes(self):
         single = builtin_scenario("single-50")
-        assert single.kind == "single" and single.total_nodes == 50
+        assert single.n == 50 and single.profile is None
         for name, n in (("multi-50", 50), ("multi-100", 100), ("multi-200", 200)):
             sc = builtin_scenario(name)
-            assert sc.kind == "multi"
-            assert sc.total_nodes == n
+            assert sc.n is None
+            assert sc.resolved_profile().total_nodes == n
             assert len(sc.networks) == 3
             assert [s.target for s in sc.networks] == [50.0, 70.0, 120.0]
             assert [s.init_mean for s in sc.networks] == [45.0, 80.0, 130.0]
@@ -495,7 +545,6 @@ class TestScenarioIO:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             Scenario(
-                kind="single",
                 threshold=0.5,
                 networks=(),
                 ga=GaConfig(),
@@ -504,9 +553,12 @@ class TestScenarioIO:
             )
         with pytest.raises(ValueError):
             NetworkSpec(1.0, 1.0, 0.0, 0.0, 0.0)  # zero std
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1$"):
+            replace(tiny_single(), rng_seed=-1)
+        with pytest.raises(ValueError, match="trial_index must be >= 0, got -2$"):
+            build_system(tiny_single(), -2)
         with pytest.raises(ValueError):
             Scenario(
-                kind="multi",
                 threshold=0.5,
                 networks=(NetworkSpec(1.0, 1.0, 0.0, 0.0, 1.0),),
                 ga=GaConfig(),

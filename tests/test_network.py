@@ -192,20 +192,67 @@ class TestMultiNetwork:
         assert sys.memberships == (frozenset({0}),) * 5
         assert np.all(sys.composite_targets == 90.0)
 
+    def test_composite_of_vector_targets_is_the_member_mean_per_component(self):
+        # node 2 is in all three; (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
+        targets = ((50.0, 0.1), (70.0, 0.2), (120.0, 0.3))
+        node_ids = ([0, 1, 2, 4], [1, 2, 3], [2, 3])
+        nets = [
+            DirectedNetwork(np.zeros((len(ids), len(ids))), 1.0, 1.0, t, ids)
+            for t, ids in zip(targets, node_ids)
+        ]
+        sys = MultiNetworkSystem(tuple(nets))
+        assert sys.state_dim == 2 and sys.composite_targets.shape == (5, 2)
+        for i, memb in enumerate(sys.memberships):
+            want = np.mean([targets[k] for k in sorted(memb)], axis=0)
+            assert sys.composite_targets[i].tobytes() == want.tobytes()
+        assert sys.composite_targets[2].tolist() == [80.0, (0.1 + 0.2 + 0.3) / 3]
+
+    def test_node_means_of_scalars(self):
+        sys = self._two_nets()
+        means = sys.node_means([4.0, 7.0])
+        assert means.shape == (2,) and means.tolist() == [4.0, 5.5]
+        with pytest.raises(ValueError):
+            sys.node_means([4.0])  # one value per network
+
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_memberships_are_the_generated_ones(self, name):
         prof = PROFILES[name]
         for seed in range(3):
-            memb = generate_membership(prof.total_nodes, name, seed)
-            nets = []
-            for k, size in enumerate(prof.network_sizes):
-                ids = [i for i, m in enumerate(memb) if k in m]
-                nets.append(DirectedNetwork(np.zeros((size, size)), 1.0, 1.0, 10.0 * k, ids))
+            node_ids = generate_membership(prof, seed)
+            nets = [
+                DirectedNetwork(np.zeros((len(ids), len(ids))), 1.0, 1.0, 10.0 * k, ids)
+                for k, ids in enumerate(node_ids)
+            ]
             sys = MultiNetworkSystem(tuple(nets))
+            memb = per_node(node_ids, prof.total_nodes)
             assert sys.memberships == memb
             assert sys.total_nodes == prof.total_nodes
             means = [np.mean([10.0 * k for k in sorted(m)]) for m in memb]
             assert sys.composite_targets[:, 0].tolist() == means
+
+
+def per_node(node_ids, n: int) -> tuple[frozenset[int], ...]:
+    """Each node's set of networks, from each network's node ids."""
+    return tuple(frozenset(k for k, ids in enumerate(node_ids) if i in ids) for i in range(n))
+
+
+def per_node_draw(profile: MembershipProfile, rng_seed: int) -> tuple[frozenset[int], ...]:
+    """The per-node membership draw generate_membership replaced, kept as its oracle."""
+    rng = np.random.default_rng(rng_seed)
+    order = rng.permutation(profile.total_nodes)
+    caps = np.array(profile.network_sizes, dtype=np.int64)
+    memberships: list[set[int]] = [set() for _ in range(profile.total_nodes)]
+    pos = 0
+    for mult in sorted(profile.overlap_counts, reverse=True):
+        for _ in range(profile.overlap_counts[mult]):
+            node = int(order[pos])
+            pos += 1
+            tie = rng.random(len(caps))
+            chosen = np.lexsort((tie, -caps))[:mult]
+            for k in chosen:
+                memberships[node].add(int(k))
+            caps[chosen] -= 1
+    return tuple(frozenset(m) for m in memberships)
 
 
 class TestMembershipProfiles:
@@ -221,48 +268,52 @@ class TestMembershipProfiles:
         prof = PROFILES[name]
         n = prof.total_nodes
         for seed in range(3):
-            memb = generate_membership(n, name, seed)
-            assert len(memb) == n
-            for k, size in enumerate(sizes):
-                assert sum(1 for m in memb if k in m) == size
+            node_ids = generate_membership(prof, seed)
+            assert [len(ids) for ids in node_ids] == list(sizes)
+            for ids in node_ids:
+                assert ids.tolist() == sorted(set(ids.tolist())) and 0 <= ids[0] and ids[-1] < n
+            memb = per_node(node_ids, n)
             for mult, count in counts.items():
                 assert sum(1 for m in memb if len(m) == mult) == count
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_ids_are_the_per_node_draw_regrouped(self, name):
+        # the same generator calls in the same order as the per-node draw
+        prof = PROFILES[name]
+        for seed in range(3):
+            assert per_node(generate_membership(prof, seed), prof.total_nodes) == per_node_draw(
+                prof, seed
+            )
 
     def test_counting_identity(self):
         # sum over networks of member counts = N + doubles + 2 * triples
         for name in PROFILES:
             prof = PROFILES[name]
-            memb = generate_membership(prof.total_nodes, name, 11)
-            span_total = sum(len(m) for m in memb)
+            node_ids = generate_membership(prof, 11)
+            memb = per_node(node_ids, prof.total_nodes)
+            span_total = sum(len(ids) for ids in node_ids)
             doubles = sum(1 for m in memb if len(m) == 2)
             triples = sum(1 for m in memb if len(m) == 3)
             assert span_total == prof.total_nodes + doubles + 2 * triples
 
     def test_assignment_is_randomized_but_seeded(self):
-        a = generate_membership(50, "small-50", 5)
-        b = generate_membership(50, "small-50", 5)
-        c = generate_membership(50, "small-50", 6)
-        assert a == b
-        assert a != c
+        prof = PROFILES["small-50"]
+        a, b, c = (generate_membership(prof, seed) for seed in (5, 5, 6))
+        assert [ids.tolist() for ids in a] == [ids.tolist() for ids in b]
+        assert [ids.tolist() for ids in a] != [ids.tolist() for ids in c]
 
     def test_custom_single_network(self):
         prof = MembershipProfile((4,), {1: 4})
-        memb = generate_membership(4, prof, 0)
-        assert all(m == frozenset({0}) for m in memb)
-        assert not [i for i, m in enumerate(memb) if len(m) >= 2]
+        (ids,) = generate_membership(prof, 0)
+        assert ids.tolist() == [0, 1, 2, 3]
 
     def test_infeasible_profiles_rejected(self):
         with pytest.raises(ValueError):
             MembershipProfile((4, 4), {2: 5})  # identity violated
-        prof = MembershipProfile((3, 3), {2: 3})
+        # the identity holds, but two nodes in both networks overfill the one-node network
+        prof = MembershipProfile((3, 1), {2: 2})
         with pytest.raises(ValueError, match="infeasible"):
-            generate_membership(2, prof, 0)  # more class nodes than N
-        with pytest.raises(ValueError):
-            generate_membership(5, prof, 0)  # uncovered nodes
-
-    def test_unknown_profile_name(self):
-        with pytest.raises(ValueError, match="unknown profile"):
-            generate_membership(50, "tiny-7", 0)
+            generate_membership(prof, 0)
 
 
 class TestAdjacencyCsv:
