@@ -106,7 +106,7 @@ class Scenario:
     def resolved_profile(self) -> MembershipProfile:
         if (self.n is None) == (self.profile is None):
             got = "neither" if self.n is None else "both"
-            raise ValueError(f"a scenario takes exactly one of n and profile, got {got}")
+            raise ValueError(f"a scenario takes n and no profile, or takes profile and no n; got {got}")
         if self.n is not None:
             if self.n < 1:
                 raise ValueError("n must be >= 1")

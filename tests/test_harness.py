@@ -468,6 +468,8 @@ class TestScenarioIO:
                 "scenario key profile.overlap_counts has a non-integer key 'one'",
             ),
             (lambda d: d.update(n=None, profile="tiny-7"), "unknown membership profile 'tiny-7'"),
+            (lambda d: d.update(profile=ONE_NETWORK), "takes profile and no n"),
+            (lambda d: d.update(profile="small-50"), "takes n and no profile"),
         ],
     )
     def test_malformed_values_name_their_path(self, edit, message):
@@ -485,7 +487,7 @@ class TestScenarioIO:
     def test_exactly_one_of_n_and_profile(self, edit, got):
         d = scenario_to_dict(tiny_single())
         edit(d)
-        with pytest.raises(ValueError, match=f"exactly one of n and profile, got {got}$"):
+        with pytest.raises(ValueError, match=f"takes profile and no n; got {got}$"):
             scenario_from_dict(d)
 
     @pytest.mark.parametrize(
