@@ -18,8 +18,6 @@ from .network import (
     generate_adjacency,
     generate_membership,
     laplacian,
-    load_adjacency,
-    save_adjacency,
 )
 from .stability import (
     FeasibilityResult,

@@ -34,6 +34,7 @@ from .harness import (
     run_scenario,
     save_scenario,
     scenario_to_dict,
+    write_json,
 )
 
 
@@ -99,9 +100,7 @@ def cmd_oracle(args) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        with open(args.out / "oracle.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out / "oracle.json", payload)
     return 0 if result is not None else 2
 
 

@@ -390,17 +390,20 @@ def _format_rows(block: np.ndarray, words: np.ndarray, keep: np.ndarray) -> np.n
     return out[keep]
 
 
-def _write_series_csv(
-    path: str | Path, times: np.ndarray, table: np.ndarray, labels: list[str]
+def write_series_csv(
+    path: str | Path, labels: Sequence[str], first: np.ndarray, table: np.ndarray
 ) -> None:
-    width = len(labels) + 1
+    """Write the header ``labels``, then one row per entry of ``first``: that
+    value and the same row of ``table``, every value as "%.17g" % v."""
+    width = len(labels)
     step = max(1, _CSV_VALUES // width)
-    words = np.empty((step * width, _W // 4), dtype=np.uint32)
-    keep = np.empty((step * width, _W), dtype=bool)
+    scratch = min(step, len(first)) * width
+    words = np.empty((scratch, _W // 4), dtype=np.uint32)
+    keep = np.empty((scratch, _W), dtype=bool)
     with open(path, "wb") as fh:
-        fh.write(("t," + ",".join(labels) + "\n").encode("utf-8"))
-        for start in range(0, len(times), step):
-            block = np.column_stack((times[start : start + step], table[start : start + step]))
+        fh.write((",".join(labels) + "\n").encode("utf-8"))
+        for start in range(0, len(first), step):
+            block = np.column_stack((first[start : start + step], table[start : start + step]))
             fh.write(_format_rows(block, words[: block.size], keep[: block.size]))
 
 
@@ -415,10 +418,10 @@ def export_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         labels = [f"node_{i}" for i in range(n)]
     else:
         labels = [f"node_{i}_{j}" for i in range(n) for j in range(m)]
-    _write_series_csv(path, traj.times, traj.states.reshape(s, n * m), labels)
+    write_series_csv(path, ["t", *labels], traj.times, traj.states.reshape(s, n * m))
 
 
 def export_errors_csv(traj: Trajectory, path: str | Path) -> None:
     """Write per-node error norms with the same shape as the trajectory CSV."""
-    labels = [f"node_{i}" for i in range(traj.n_nodes)]
-    _write_series_csv(path, traj.times, traj.errors, labels)
+    labels = ["t"] + [f"node_{i}" for i in range(traj.n_nodes)]
+    write_series_csv(path, labels, traj.times, traj.errors)

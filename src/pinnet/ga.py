@@ -47,6 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dynamics import write_series_csv
 from .network import MultiNetworkSystem
 from .stability import (
     CHUNK_ROWS,
@@ -367,18 +368,9 @@ class GaReport:
         return d
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("generation,best_fitness,mean_fitness,best_pinned_count,feasible_fraction\n")
-            for row in zip(
-                self.generations,
-                self.best_fitness,
-                self.mean_fitness,
-                self.best_pinned_count,
-                self.feasible_fraction,
-            ):
-                fh.write(
-                    f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]},{row[4]:.17g}\n"
-                )
+        series = ["best_fitness", "mean_fitness", "best_pinned_count", "feasible_fraction"]
+        table = np.column_stack([getattr(self, name) for name in series])
+        write_series_csv(path, ["generation", *series], self.generations, table)
 
 
 def evolve(cfg: GaConfig, sys: MultiNetworkSystem) -> GaReport:

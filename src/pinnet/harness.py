@@ -208,7 +208,8 @@ def run_scenario(
     outcome with the simulation skipped, not an error.  ``summary.json`` gets
     the seconds of each layer under ``timings``: ``build_s``, ``search_s``
     (the GA and its reported gains), ``simulate_s`` and ``export_s`` (the
-    CSV files); writing ``summary.json`` itself is outside all four.  Next to
+    CSV files); writing ``summary.json`` itself is outside all four.  It is
+    written last and renamed into place, so it marks a finished trial.  Next to
     them, ``export_bytes`` is the size of the CSV files that ``export_s`` wrote
     and ``integrator_steps`` the steps ``simulate_s`` took (0 when the
     simulation is skipped).
@@ -271,9 +272,7 @@ def run_scenario(
             "export_bytes": sum(path.stat().st_size for path in written),
             "integrator_steps": 0 if traj is None else len(traj.times) - 1,
         }
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "summary.json", summary)
     return outcome
 
 
@@ -286,6 +285,16 @@ _TRIAL_CSV_FIELDS = (
     "terminal_max_error",
     "log10_terminal_error",
 )
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write ``data`` as indented, key-sorted JSON to ``<path>.partial`` and
+    rename it into place: a reader finds the whole file or the one before."""
+    partial = Path(f"{path}.partial")
+    with open(partial, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(partial, path)
 
 
 def _fmt(v) -> str:
@@ -371,8 +380,8 @@ def run_batch(
     """Run repeated trials with derived seeds and fold them into statistics.
 
     With ``out_dir``, ``trials.csv`` gets its header before the first trial and
-    one row, appended and closed, as each trial finishes; ``batch_summary.json``
-    is written under a temporary name and renamed into place after the last.
+    one row, appended and closed, as each trial finishes, and
+    ``batch_summary.json`` after the last.
     A batch that stops early keeps the rows of its finished trials and leaves
     no summary.
     """
@@ -394,11 +403,7 @@ def run_batch(
                 fh.write(_trials_csv_row(outcomes[-1]))
     summary = summarize(outcomes)
     if out_dir is not None:
-        partial = out / "batch_summary.json.partial"
-        with open(partial, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(partial, out / "batch_summary.json")
+        write_json(out / "batch_summary.json", summary.to_dict())
     return summary
 
 
@@ -468,9 +473,7 @@ def fixed_gain_study(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "fixed_gain_study.json", "w", encoding="utf-8") as fh:
-            json.dump(study.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "fixed_gain_study.json", study.to_dict())
         names = [f.name for f in fields(FixedGainRow)]
         with open(out / "fixed_gain_study.csv", "w", encoding="utf-8") as fh:
             fh.write(",".join(names) + "\n")
@@ -673,9 +676,7 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario_to_dict(sc))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -13,7 +13,6 @@ its member networks' targets (``MultiNetworkSystem.node_means``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -124,7 +123,8 @@ class MembershipProfile:
 
     ``overlap_counts`` maps membership multiplicity (1 = single network,
     2 = shared by two, ...) to the number of nodes in that class.  The counting
-    identity sum(sizes) == sum(mult * count) must hold.
+    identity sum(sizes) == sum(mult * count) must hold, and so must the draw's
+    capacity walk, whose random tie-breaks all leave the same room.
     """
 
     network_sizes: tuple[int, ...]
@@ -132,7 +132,7 @@ class MembershipProfile:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.network_sizes)
-        counts = {int(m): int(c) for m, c in self.overlap_counts.items()}
+        counts = dict(sorted({int(m): int(c) for m, c in self.overlap_counts.items()}.items()))
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("network sizes must all be >= 1")
         k = len(sizes)
@@ -143,8 +143,16 @@ class MembershipProfile:
                 "infeasible profile: sum of network sizes must equal "
                 "sum(multiplicity * count) over overlap classes"
             )
+        room = sorted(sizes, reverse=True)
+        for m, c in reversed(counts.items()):
+            for _ in range(c):
+                for j in range(m):
+                    room[j] -= 1
+                room.sort(reverse=True)
+        if room[-1] < 0:  # some node joined a full network; room only falls
+            raise ValueError(f"infeasible profile: sizes {sizes} cannot hold classes {counts}")
         object.__setattr__(self, "network_sizes", sizes)
-        object.__setattr__(self, "overlap_counts", dict(sorted(counts.items())))
+        object.__setattr__(self, "overlap_counts", counts)
 
     @property
     def total_nodes(self) -> int:
@@ -170,7 +178,7 @@ def generate_membership(profile: MembershipProfile, rng_seed: int) -> tuple[np.n
     joins, are randomized given the seed; the class sizes and the per-network
     sizes are exact.  Assignment walks multiplicity classes from largest to
     smallest, always joining the networks with the most remaining capacity
-    (random tie-break), which succeeds whenever the profile can be met.
+    (random tie-break), which the profile has checked succeeds.
     """
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(profile.total_nodes)
@@ -180,8 +188,6 @@ def generate_membership(profile: MembershipProfile, rng_seed: int) -> tuple[np.n
     for node, mult in zip(order, mults):
         tie = rng.random(len(caps))
         chosen = np.lexsort((tie, -caps))[:mult]
-        if caps[chosen].min() <= 0:
-            raise ValueError("infeasible profile: ran out of network capacity")
         member[chosen, node] = True
         caps[chosen] -= 1
     return tuple(np.flatnonzero(row) for row in member)
@@ -242,31 +248,3 @@ class MultiNetworkSystem:
     @property
     def state_dim(self) -> int:
         return self.networks[0].state_dim
-
-
-def save_adjacency(path: str | Path, adjacency: np.ndarray) -> None:
-    """Write a dense adjacency matrix as CSV with a ``# n=<N>`` header."""
-    g = np.asarray(adjacency, dtype=np.float64)
-    n = g.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={n}\n")
-        for row in g:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_adjacency(path: str | Path) -> np.ndarray:
-    """Read an adjacency matrix written by :func:`save_adjacency`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# n="):
-            raise ValueError(f"{path}: missing '# n=<N>' header")
-        n = int(header[4:])
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    g = np.array(rows, dtype=np.float64)
-    if g.shape != (n, n):
-        raise ValueError(f"{path}: expected {n}x{n} matrix, got {g.shape}")
-    return g

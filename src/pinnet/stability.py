@@ -262,8 +262,7 @@ class CertificateTest:
         """Indices of the rows whose matrix, with these diagonals, has no Cholesky factor."""
         k = len(diagonals)
         self._diagonals[:k] = diagonals
-        with np.errstate(invalid="ignore"):
-            factors = _cholesky_lo(self._stack[:k], signature="d->d")
+        factors = _factor(self._stack[:k])
         return np.flatnonzero(np.isnan(np.diagonal(factors, axis1=1, axis2=2)).any(axis=1))
 
 
@@ -295,11 +294,8 @@ def solve_min_gain(
     p, u = pins == 1.0, pins == 0.0
 
     gain = params.c_max
-    try:
-        chol = np.linalg.cholesky(shifted[np.ix_(u, u)])
-    except np.linalg.LinAlgError:
-        pass  # A_UU is not positive definite: no gain certifies
-    else:
+    chol = _factor(shifted[np.ix_(u, u)])
+    if not np.isnan(chol).any():  # else A_UU is not positive definite: no gain certifies
         w = np.linalg.solve(chol, shifted[np.ix_(u, p)])
         schur = w.T @ w - shifted[np.ix_(p, p)]
         top = float(np.linalg.eigvalsh(schur)[-1]) if schur.size else 0.0
@@ -326,8 +322,11 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
     """Whether m - shift*I has a Cholesky factor."""
     shifted = m.copy()
     shifted.reshape(-1)[:: len(m) + 1] -= shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return not np.isnan(_factor(shifted)).any()
+
+
+def _factor(m: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of m, or of each matrix of a stack, as
+    np.linalg.cholesky gives it; all NaN for a matrix that has none."""
+    with np.errstate(invalid="ignore"):
+        return _cholesky_lo(m, signature="d->d")

@@ -16,8 +16,8 @@ from pinnet.dynamics import (
     DIVERGENCE_LIMIT,
     DivergenceError,
     SimulationConfig,
-    _write_series_csv,
     simulate_multi,
+    write_series_csv,
 )
 from pinnet import ga
 from pinnet.ga import GaConfig, evolve
@@ -830,11 +830,26 @@ def check_stacked_oracle_matches_subset_loop(n_cases: int) -> None:
 
 def percent_csv(times: np.ndarray, table: np.ndarray, labels: list[str]) -> bytes:
     """The `%`-tuple block writer the vectorised %.17g kernel replaced, as its oracle."""
-    line = ",".join(["%.17g"] * (len(labels) + 1)) + "\n"
-    out = ["t," + ",".join(labels) + "\n"]
+    line = ",".join(["%.17g"] * len(labels)) + "\n"
+    out = [",".join(labels) + "\n"]
     for start in range(0, len(times), 256):
         block = np.column_stack((times[start : start + 256], table[start : start + 256]))
         out.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(out).encode("utf-8")
+
+
+def fstring_ga_report(report: ga.GaReport) -> bytes:
+    """The f-string writer of ``GaReport.write_csv`` before it went through the
+    %.17g kernel, as its oracle."""
+    out = ["generation,best_fitness,mean_fitness,best_pinned_count,feasible_fraction\n"]
+    for row in zip(
+        report.generations,
+        report.best_fitness,
+        report.mean_fitness,
+        report.best_pinned_count,
+        report.feasible_fraction,
+    ):
+        out.append(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]},{row[4]:.17g}\n")
     return "".join(out).encode("utf-8")
 
 
@@ -874,8 +889,8 @@ def check_csv_kernel_matches_percent(n_cases: int) -> None:
                 v = decay if kind == 2 else rng.uniform(-200.0, 200.0, size=shape[1]) + decay
             else:
                 v = rng.choice(adversarial, size=shape) * rng.choice([-1.0, 1.0], size=shape)
-            labels = [f"c{j}" for j in range(shape[1] - 1)]
-            _write_series_csv(path, v[:, 0], v[:, 1:], labels)
+            labels = ["t"] + [f"c{j}" for j in range(shape[1] - 1)]
+            write_series_csv(path, labels, v[:, 0], v[:, 1:])
             assert path.read_bytes() == percent_csv(v[:, 0], v[:, 1:], labels), (i, v.tolist())
 
 

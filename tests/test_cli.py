@@ -134,6 +134,13 @@ def test_oracle_writes_its_verdict_when_nothing_certifies(tmp_path, capsys):
     assert json.loads((out / "oracle.json").read_text()) == {"feasible": False}
 
 
+def test_json_artifacts_leave_no_partial_file(tmp_path, scenario_file, capsys):
+    assert main(["oracle", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 0
+    assert main(["gen-scenario", "--profile", "multi-50", "--out", str(tmp_path / "g.json")]) == 0
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == ["g.json", "o/oracle.json", "scenario.json"]
+
+
 def test_missing_scenario_is_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -264,8 +271,17 @@ def test_malformed_scenario_is_error(tmp_path, capsys, edit, named):
             lambda d: d["ga"].update(rng_seed=-1),
             "error: scenario key ga: rng_seed must be >= 0, got -1\n",
         ),
+        (
+            # the counting identity holds, but once the three-network node has
+            # filled both one-node networks, the two-network node has no room
+            lambda d: d.update(
+                profile={"network_sizes": [3, 1, 1], "overlap_counts": {"3": 1, "2": 1}}
+            ),
+            "error: scenario key profile: infeasible profile: "
+            "sizes (3, 1, 1) cannot hold classes {2: 1, 3: 1}\n",
+        ),
     ],
-    ids=["nan-init-std-of-network-1", "negative-q", "negative-ga-seed"],
+    ids=["nan-init-std-of-network-1", "negative-q", "negative-ga-seed", "unmeetable-profile"],
 )
 def test_value_error_names_its_json_path(tmp_path, capsys, edit, line):
     file = tmp_path / "multi-50.json"

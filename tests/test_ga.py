@@ -19,7 +19,7 @@ from pinnet.harness import build_system, builtin_scenario
 from pinnet.network import DirectedNetwork, MultiNetworkSystem, generate_adjacency
 from pinnet.stability import CertificateTest, StabilityParams
 
-from property_checks import score_row
+from property_checks import fstring_ga_report, score_row
 
 
 def small_system(n=6, seed=0, threshold=0.4):
@@ -473,6 +473,40 @@ class TestEvolve:
         sc = builtin_scenario("single-50")
         cfg = replace(sc.ga, population_size=20, generations=5, rng_seed=7, fixed_gain=5.0)
         assert evolve(cfg, build_system(sc)).to_dict() == RECORDED_SINGLE50_FIXED
+
+    def test_report_csv_is_the_fstring_writers_bytes(self, tmp_path):
+        # The recorded reports, then their series replaced by random ones of
+        # 1 to 5000 generations (the writer's blocks hold 819 rows) with
+        # fractional, huge, tiny and infinite fitness.
+        multi, single = builtin_scenario("multi-50"), builtin_scenario("single-50")
+        cfg = replace(multi.ga, population_size=20, generations=5, rng_seed=7)
+        runs = [
+            (cfg, multi),
+            (replace(cfg, crossover_op="one_point"), multi),
+            (replace(cfg, adaptive_penalty=True), multi),
+            (replace(single.ga, population_size=20, generations=5, rng_seed=7, fixed_gain=5.0),
+             single),
+        ]
+        reports = [evolve(run_cfg, build_system(sc)) for run_cfg, sc in runs]
+        rng = np.random.default_rng(19)
+        for rows in (1, 2, 21, 819, 820, 5000):
+            scale = np.where(rng.random((2, rows)) < 0.3, 10.0 ** rng.integers(-300, 300), 1.0)
+            fitness = rng.uniform(0.0, 100.0, size=(2, rows)) * scale
+            fitness[:, rng.integers(rows)] = np.inf
+            reports.append(
+                replace(
+                    reports[0],
+                    generations=np.arange(rows),
+                    best_fitness=fitness[0],
+                    mean_fitness=fitness[1],
+                    best_pinned_count=rng.integers(0, 10**6, size=rows),
+                    feasible_fraction=rng.integers(0, 401, size=rows) / 400,
+                )
+            )
+        path = tmp_path / "ga_report.csv"
+        for i, report in enumerate(reports):
+            report.write_csv(path)
+            assert path.read_bytes() == fstring_ga_report(report), i
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_each_unpruned_chromosome_is_tested_at_most_once_per_network(

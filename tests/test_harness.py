@@ -211,6 +211,20 @@ class TestRunScenario:
         rows = len((tmp_path / "trajectory.csv").read_text().splitlines()) - 1  # header
         assert summary["integrator_steps"] == rows - 1 == round(sc.sim.horizon / sc.sim.dt)
 
+    def test_a_failed_summary_write_keeps_the_earlier_summary(self, tmp_path, monkeypatch):
+        sc = tiny_single()
+        run_scenario(sc, out_dir=tmp_path)
+        before = (tmp_path / "summary.json").read_bytes()
+
+        def dump_fails(data, fh, **kwargs):
+            fh.write('{\n  "export_bytes": ')
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(harness.json, "dump", dump_fails)
+        with pytest.raises(RuntimeError, match="dump failed"):
+            run_scenario(replace(sc, rng_seed=8), out_dir=tmp_path)
+        assert (tmp_path / "summary.json").read_bytes() == before
+
     def test_infeasible_is_outcome_not_error(self, tmp_path):
         # no edges and a gain cap below delta/2: nothing can certify
         sc = tiny_single()
@@ -294,6 +308,15 @@ class TestRunBatch:
         whole = (tmp_path / "whole" / "trials.csv").read_text().splitlines()
         assert (stopped / "trials.csv").read_text().splitlines() == whole[:2]
         assert sorted(p.name for p in stopped.iterdir()) == ["trial_000", "trials.csv"]
+
+
+def test_batch_and_study_leave_no_partial_file(tmp_path):
+    run_batch(tiny_single(), trials=2, out_dir=tmp_path / "batch")
+    fixed_gain_study(tiny_single(), [50.0], trials=1, out_dir=tmp_path / "study")
+    assert list(tmp_path.rglob("*.partial")) == []
+    assert (tmp_path / "batch" / "batch_summary.json").exists()
+    assert (tmp_path / "batch" / "trial_001" / "summary.json").exists()
+    assert (tmp_path / "study" / "fixed_gain_study.json").exists()
 
 
 class TestFixedGainStudy:

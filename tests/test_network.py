@@ -1,5 +1,8 @@
 """Network construction: adjacency sampling, Laplacians, overlap structure."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,6 @@ from pinnet.network import (
     generate_adjacency,
     generate_membership,
     laplacian,
-    load_adjacency,
-    save_adjacency,
 )
 
 
@@ -311,22 +312,43 @@ class TestMembershipProfiles:
         with pytest.raises(ValueError):
             MembershipProfile((4, 4), {2: 5})  # identity violated
         # the identity holds, but two nodes in both networks overfill the one-node network
-        prof = MembershipProfile((3, 1), {2: 2})
-        with pytest.raises(ValueError, match="infeasible"):
-            generate_membership(prof, 0)
+        with pytest.raises(ValueError, match=r"^infeasible profile: sizes \(3, 1\) cannot hold"):
+            MembershipProfile((3, 1), {2: 2})
+
+    def test_profiles_load_exactly_when_an_assignment_exists(self):
+        # Every profile with K <= 3 networks of sizes <= 3 that meets the
+        # counting identity; the exhaustive search below is the oracle.
+        seen = {True: 0, False: 0}
+        for k in (1, 2, 3):
+            for sizes in itertools.product((1, 2, 3), repeat=k):
+                for counts in itertools.product(range(sum(sizes) + 1), repeat=k):
+                    if sum(m * c for m, c in enumerate(counts, 1)) != sum(sizes):
+                        continue
+                    classes = {m: c for m, c in enumerate(counts, 1) if c}
+                    mults = tuple(m for m, c in classes.items() for _ in range(c))
+                    meetable = assignable(sizes, mults)
+                    try:
+                        prof = MembershipProfile(sizes, classes)
+                    except ValueError as exc:
+                        assert not meetable and "infeasible" in str(exc), (sizes, classes)
+                    else:
+                        assert meetable, (sizes, classes)
+                        for seed in range(3):
+                            ids = generate_membership(prof, seed)
+                            assert [len(i) for i in ids] == list(sizes), (sizes, classes)
+                    seen[meetable] += 1
+        assert min(seen.values()) > 0, seen
 
 
-class TestAdjacencyCsv:
-    def test_roundtrip(self, tmp_path):
-        g = generate_adjacency(7, 0.4, 99)
-        path = tmp_path / "adj.csv"
-        save_adjacency(path, g)
-        text = path.read_text().splitlines()
-        assert text[0] == "# n=7"
-        assert np.array_equal(load_adjacency(path), g)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.0,1.0\n0.0,0.0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_adjacency(path)
+@functools.cache
+def assignable(room: tuple[int, ...], mults: tuple[int, ...]) -> bool:
+    """Whether nodes of these multiplicities can fill networks of this room
+    exactly, each node in distinct networks: an exhaustive search."""
+    if not mults:
+        return not any(room)
+    for nets in itertools.combinations(range(len(room)), mults[0]):
+        if all(room[j] for j in nets):
+            rest = tuple(r - (j in nets) for j, r in enumerate(room))
+            if assignable(rest, mults[1:]):
+                return True
+    return False

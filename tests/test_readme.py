@@ -3,6 +3,10 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
+from pinnet.network import generate_adjacency
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -19,3 +23,16 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     pinned, terminal = lines[0].split()
     assert 0 < int(pinned) <= 50 and float(terminal) >= 0.0
     assert (tmp_path / "runs" / "demo" / "summary.json").exists()
+
+
+def test_outputs_adjacency_block_round_trips(tmp_path):
+    # The numpy lines README gives for adjacency CSV write a "# n=<N>" header
+    # and read the matrix back bit for bit.
+    section = README.read_text(encoding="utf-8").split("## Outputs", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    g = generate_adjacency(7, 0.4, 99)
+    scope = {"np": np, "g": g, "path": tmp_path / "adjacency.csv"}
+    exec(compile(block, str(README), "exec"), scope)
+    assert (tmp_path / "adjacency.csv").read_text().splitlines()[0] == "# n=7"
+    assert scope["g"] is not g and scope["g"].shape == g.shape
+    assert scope["g"].tobytes() == g.tobytes()

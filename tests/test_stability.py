@@ -185,6 +185,47 @@ class TestSolveMinGain:
                 retried += len(verdicts) > 1
         assert feasible > 0 and retried > 0
 
+    @pytest.mark.parametrize("n, pinned", [(1, 0), (1, 1), (6, 0), (6, 6)])
+    def test_no_pins_every_pin_and_one_node_match_the_bisection(self, n, pinned):
+        # With every node pinned, A_UU is 0 x 0 and has a factor; with none,
+        # A_UU is all of A, and 1'L_s 1 = 0 puts an eigenvalue of A at or
+        # below -delta/q, so it has none.
+        params = StabilityParams(delta=1.0)
+        pins = np.zeros(n)
+        pins[:pinned] = 1.0
+        for seed in range(5):
+            l_sym = laplacian(generate_adjacency(n, 0.5, seed)).symmetric_part
+            res = solve_min_gain(l_sym, pins, 0.8, 1.0, params)
+            oracle = bisect_min_gain(l_sym, pins, 0.8, 1.0, params)
+            assert res.feasible == oracle.feasible == (pinned > 0)
+            if res.feasible:
+                assert res.margin >= 0.0 and abs(res.gain - oracle.gain) <= 1e-6
+            else:
+                assert res.xi == oracle.xi > 0.0
+
+
+def test_factor_is_numpys_cholesky_or_nan():
+    rng = np.random.default_rng(23)
+    seen = {True: 0, False: 0}
+    for n in (0, 1, 2, 5, 9):
+        for shift in (-1.0, 0.0, 0.5, 2.0):
+            b = rng.normal(size=(n, n))
+            m = b @ b.T / max(n, 1) - shift * np.eye(n)
+            got = stability._factor(m)
+            try:
+                want = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                assert got.shape == m.shape and np.isnan(got).all(), (n, shift)
+                seen[False] += 1
+            else:
+                assert got.tobytes() == want.tobytes(), (n, shift)
+                seen[True] += 1
+    assert min(seen.values()) > 0, seen
+    # a stack factors each matrix on its own
+    pd, indefinite = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 2.0], [2.0, 1.0]])
+    stack = stability._factor(np.stack([pd, indefinite]))
+    assert stack[0].tobytes() == np.linalg.cholesky(pd).tobytes() and np.isnan(stack[1]).all()
+
 
 class TestCheckGain:
     def test_fixed_gain_feasibility(self):
